@@ -188,14 +188,26 @@ func (s *allocScanner) visitCall(call *ast.CallExpr) {
 }
 
 // visitAppend applies the capacity heuristic: appending to a slice whose
-// local declaration visibly reserves no capacity allocates as it grows.
-// Origins the scanner cannot see (parameters, struct fields, reslices,
-// call results, 3-arg make) are assumed managed by their owner.
+// local declaration visibly reserves no capacity allocates as it grows,
+// and so does appending to a map element, which no owner can reserve
+// or reuse (the element is a fresh nil slice for every new or cleared
+// key). Other origins the scanner cannot see (parameters, struct
+// fields, reslices, call results, 3-arg make) are assumed managed by
+// their owner.
 func (s *allocScanner) visitAppend(call *ast.CallExpr) {
 	if len(call.Args) == 0 {
 		return
 	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+	first := ast.Unparen(call.Args[0])
+	if ix, ok := first.(*ast.IndexExpr); ok {
+		if t := s.info.TypeOf(ix.X); t != nil {
+			if _, isMap := t.Underlying().(*types.Map); isMap {
+				s.add(call.Pos(), "append to a map element: grows by reallocation")
+				return
+			}
+		}
+	}
+	id, ok := first.(*ast.Ident)
 	if !ok {
 		return
 	}

@@ -13,18 +13,19 @@ var sink interface{}
 type conf struct{ n int }
 
 //lint:hotpath fixture root
-func Work(n int, names []string) string {
+func Work(n int, names []string, groups map[int][]string) string {
 	buf := make([]byte, n) // want `make allocates on each call`
 	c := new(conf)         // want `new allocates on each call`
 	p := &conf{n: n}       // want `literal allocates`
 	xs := []int{n}         // want `slice literal allocates its backing array`
 	m := map[string]int{}  // want `map literal allocates`
 	var out []byte
-	out = append(out, buf...)   // want `append to out, declared without capacity: grows by reallocation`
-	msg := fmt.Sprintf("%d", n) // want `fmt.Sprintf formats into fresh allocations`
-	msg += names[0]             // want `string \+= concatenation allocates`
-	s := msg + string(out)      // want `string concatenation allocates`
-	spawn(func() { sink = s })  // want `closure captures variables and escapes`
+	out = append(out, buf...)               // want `append to out, declared without capacity: grows by reallocation`
+	groups[n] = append(groups[n], names...) // want `append to a map element: grows by reallocation`
+	msg := fmt.Sprintf("%d", n)             // want `fmt.Sprintf formats into fresh allocations`
+	msg += names[0]                         // want `string \+= concatenation allocates`
+	s := msg + string(out)                  // want `string concatenation allocates`
+	spawn(func() { sink = s })              // want `closure captures variables and escapes`
 	step := func(i int) int {
 		return len(make([]byte, i)) // want `make allocates on each call`
 	}

@@ -93,8 +93,10 @@ func TestProgramFactsAndClosure(t *testing.T) {
 
 // TestHotClosureCoversAllocGuardedFunctions pins the pass to the repo's
 // runtime contract: every function guarded by a testing.AllocsPerRun
-// test (asic.(*Core).RunASIC via TestRunASICZeroAlloc,
-// partition.(*DeltaEvaluator).EvalInto via TestDeltaEvalIntoZeroAlloc)
+// test (asic.(*Core).RunASIC via TestRunASICZeroAlloc, asic.Bind via
+// TestBindAllocs, sched.ScheduleBlock via TestScheduleBlockZeroAlloc,
+// partition.(*DeltaEvaluator).EvalInto via TestDeltaEvalIntoZeroAlloc,
+// partition.(*Evaluator).Candidates via TestCandidatesWarmAllocs)
 // plus the annotated scheduler/splice inner loops must be hot roots,
 // and the closure must cross package boundaries (behav.EvalBinOp runs
 // inside the ASIC interpreter loop).
@@ -109,6 +111,8 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	for _, name := range []string{
 		"sched.ScheduleBlock",
 		"asic.(*Core).RunASIC",
+		"asic.Bind",
+		"partition.(*Evaluator).Candidates",
 		"partition.(*Priced).Add",
 		"partition.(*Priced).Remove",
 		"partition.(*DeltaEvaluator).EvalInto",

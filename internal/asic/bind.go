@@ -18,7 +18,7 @@ package asic
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"lppart/internal/cdfg"
 	"lppart/internal/sched"
@@ -97,37 +97,54 @@ func (b *Binding) InstanceCount(k tech.ResourceKind) int {
 
 // Bind runs the Fig. 4 algorithm over a scheduled cluster. blockFreq
 // returns the profiled execution count of a basic block (#ex_times); the
-// library supplies per-resource GEQ, power and cycle time.
+// library supplies per-resource GEQ, power and cycle time. Occupancy is
+// tracked on dense step slabs, so the allocations of a call do not grow
+// with the cluster's operation count beyond the returned placement map.
+//
+//lint:hotpath guarded by TestBindAllocs; the Fig. 4 half of every schedule/bind
 func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockID int) int64) (*Binding, error) {
 	if rsched == nil || lib == nil {
-		return nil, fmt.Errorf("asic: Bind requires a schedule and a library")
+		return nil, fmt.Errorf("asic: Bind requires a schedule and a library") //lint:alloc error path
 	}
-	b := &Binding{
+	// steps is the global control-step span: every op occupies
+	// [base+Start, base+End) with base the summed length of the blocks
+	// before its own.
+	nOps, maxBlockOps, steps, base := 0, 0, 0, 0
+	for _, bs := range rsched.Blocks {
+		nOps += len(bs.Ops)
+		maxBlockOps = max(maxBlockOps, len(bs.Ops))
+		for i := range bs.Ops {
+			steps = max(steps, base+bs.Ops[i].End())
+		}
+		base += bs.Len
+	}
+	b := &Binding{ //lint:alloc the returned binding
 		Schedule:    rsched,
-		PlacementOf: make(map[int]Placement),
-		BlockLen:    make(map[int]int),
+		PlacementOf: make(map[int]Placement, nOps),         //lint:alloc the returned placement map
+		BlockLen:    make(map[int]int, len(rsched.Blocks)), //lint:alloc the returned block lengths
 	}
-	// busy[instanceIdx][globalStep] marks occupancy; instances are
-	// created on demand (Fig. 4 lines 9-13: reuse an already-instantiated
-	// instance free at this step, else instantiate — the scheduler
-	// guarantees a kind-level budget, so instance count never exceeds it).
-	busy := []map[int]bool{}
-	instOf := make(map[tech.ResourceKind][]int) // kind -> instance indices
+	// busy[ii*steps+s] marks instance ii occupied at global step s;
+	// instances are created on demand (Fig. 4 lines 9-13: reuse an
+	// already-instantiated instance free at this step, else instantiate
+	// — the scheduler guarantees a kind-level budget, so instance count
+	// never exceeds it).
+	var busy []bool
+	var instOf [tech.NumResourceKinds][]int       // kind -> instance indices
+	ops := make([]sched.PlacedOp, 0, maxBlockOps) //lint:alloc per-call sort scratch, reused across blocks
 
-	base := 0
+	base = 0
 	for _, bs := range rsched.Blocks {
 		freq := blockFreq(bs.Block.ID)
 		b.BlockLen[bs.Block.ID] = bs.Len
 		b.NcycWeighted += int64(bs.Len) * freq
 		b.Steps += bs.Len
 		// Deterministic order: by start step, then op ID.
-		ops := make([]sched.PlacedOp, len(bs.Ops))
-		copy(ops, bs.Ops)
-		sort.Slice(ops, func(i, j int) bool {
-			if ops[i].Start != ops[j].Start {
-				return ops[i].Start < ops[j].Start
+		ops = append(ops[:0], bs.Ops...)
+		slices.SortFunc(ops, func(x, y sched.PlacedOp) int {
+			if x.Start != y.Start {
+				return x.Start - y.Start
 			}
-			return ops[i].Op.ID < ops[j].Op.ID
+			return x.Op.ID - y.Op.ID
 		})
 		for _, p := range ops {
 			if p.Mem {
@@ -137,14 +154,7 @@ func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockI
 			lo, hi := base+p.Start, base+p.End()
 			chosen := -1
 			for _, ii := range instOf[p.Kind] {
-				free := true
-				for s := lo; s < hi; s++ {
-					if busy[ii][s] {
-						free = false
-						break
-					}
-				}
-				if free {
+				if !slices.Contains(busy[ii*steps+lo:ii*steps+hi], true) {
 					chosen = ii
 					break
 				}
@@ -152,11 +162,17 @@ func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockI
 			if chosen == -1 {
 				chosen = len(b.Instances)
 				b.Instances = append(b.Instances, Instance{Kind: p.Kind, Index: len(instOf[p.Kind])})
-				busy = append(busy, make(map[int]bool))
-				instOf[p.Kind] = append(instOf[p.Kind], chosen)
+				if need := len(busy) + steps; need > cap(busy) {
+					grown := make([]bool, len(busy), 2*need) //lint:alloc the slab doubles as resources are instantiated
+					copy(grown, busy)
+					busy = grown
+				}
+				// Nothing is written past len(busy), so the extension is zero.
+				busy = busy[:len(busy)+steps]
+				instOf[p.Kind] = append(instOf[p.Kind], chosen) //lint:alloc grows per instantiated resource
 			}
 			for s := lo; s < hi; s++ {
-				busy[chosen][s] = true
+				busy[chosen*steps+s] = true
 			}
 			b.Instances[chosen].ActiveWeighted += int64(p.Dur) * freq
 			b.PlacementOf[p.Op.ID] = Placement{Kind: p.Kind, Instance: chosen, Dur: p.Dur}
@@ -207,34 +223,45 @@ func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockI
 // parallelism (roughly two in-flight values per instance plus pipeline
 // margin), not by their count.
 func countLiveWords(rsched *sched.RegionSchedule, instances int) int {
-	type key struct {
-		g  bool
-		id int
-	}
-	named := make(map[key]bool)
-	temps := make(map[key]bool)
 	f := rsched.Region.Func
-	classify := func(r cdfg.VarRef) {
-		k := key{r.Global, r.ID}
-		if !r.Global && f.Locals[r.ID].Temp {
-			temps[k] = true
-		} else {
-			named[k] = true
-		}
-	}
+	// Dense seen-slices: locals by ID; globals by ID, grown to the
+	// highest one touched.
+	local := make([]bool, len(f.Locals)) //lint:alloc per-binding seen slab
+	var global []bool
+	named, temps := 0, 0
+	var buf [4]cdfg.VarRef
 	for _, op := range rsched.Region.Ops() {
-		for _, u := range op.Uses() {
-			classify(u)
-		}
+		refs := op.AppendUses(buf[:0])
 		if d := op.Def(); d.Valid() {
-			classify(d)
+			refs = append(refs, d)
+		}
+		for _, r := range refs {
+			switch {
+			case r.Global:
+				if r.ID >= len(global) {
+					g := make([]bool, 2*(r.ID+1)) //lint:alloc doubles past the highest global touched
+					copy(g, global)
+					global = g
+				}
+				if !global[r.ID] {
+					global[r.ID] = true
+					named++
+				}
+			case !local[r.ID]:
+				local[r.ID] = true
+				if f.Locals[r.ID].Temp {
+					temps++
+				} else {
+					named++
+				}
+			}
 		}
 	}
 	tempRegs := 2*instances + 4
-	if len(temps) < tempRegs {
-		tempRegs = len(temps)
+	if temps < tempRegs {
+		tempRegs = temps
 	}
-	return len(named) + tempRegs
+	return named + tempRegs
 }
 
 // EnergySelectionEstimate is the quick, utilization-based energy estimate

@@ -14,6 +14,8 @@ package cdfg
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 
 	"lppart/internal/behav"
@@ -415,79 +417,106 @@ func (p *Program) NumOps() int {
 // tests.
 func (p *Program) Dump() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "program %s\n", p.Name)
-	for _, g := range p.Globals {
-		if g.IsArray() {
-			fmt.Fprintf(&sb, "  global %s[%d]\n", g.Name, g.Len)
-		} else {
-			fmt.Fprintf(&sb, "  global %s\n", g.Name)
-		}
-	}
-	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "func %s(", f.Name)
-		for i, pid := range f.Params {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(f.Locals[pid].Name)
-		}
-		sb.WriteString(")\n")
-		for _, b := range f.Blocks {
-			fmt.Fprintf(&sb, "  b%d:\n", b.ID)
-			for i := range b.Ops {
-				fmt.Fprintf(&sb, "    %s\n", p.opString(f, &b.Ops[i]))
-			}
-		}
-	}
+	_ = p.WriteDump(&sb) //lint:err strings.Builder writes never fail
 	return sb.String()
 }
 
-func (p *Program) operandString(f *Function, o Operand) string {
-	if !o.Valid() {
-		return "_"
+// WriteDump streams Dump's text to w through one reused line buffer,
+// flushed every few kilobytes, so a hasher can consume the dump without
+// the whole text or a formatted string per operation. It returns the
+// first write error.
+func (p *Program) WriteDump(w io.Writer) error {
+	const flushAt = 4096
+	buf := make([]byte, 0, 2*flushAt)
+	buf = append(append(append(buf, "program "...), p.Name...), '\n')
+	for _, g := range p.Globals {
+		buf = append(append(buf, "  global "...), g.Name...)
+		if g.IsArray() {
+			buf = append(strconv.AppendInt(append(buf, '['), int64(g.Len), 10), ']')
+		}
+		buf = append(buf, '\n')
 	}
-	if o.IsConst {
-		return fmt.Sprintf("%d", o.K)
+	for _, f := range p.Funcs {
+		buf = append(append(append(buf, "func "...), f.Name...), '(')
+		for i, pid := range f.Params {
+			if i > 0 {
+				buf = append(buf, ", "...)
+			}
+			buf = append(buf, f.Locals[pid].Name...)
+		}
+		buf = append(buf, ")\n"...)
+		for _, b := range f.Blocks {
+			buf = append(strconv.AppendInt(append(buf, "  b"...), int64(b.ID), 10), ":\n"...)
+			for i := range b.Ops {
+				buf = append(p.appendOp(append(buf, "    "...), f, &b.Ops[i]), '\n')
+				if len(buf) >= flushAt {
+					if _, err := w.Write(buf); err != nil {
+						return err
+					}
+					buf = buf[:0]
+				}
+			}
+		}
 	}
-	return p.VarName(f, o.Ref)
+	_, err := w.Write(buf)
+	return err
 }
 
-func (p *Program) opString(f *Function, op *Op) string {
+func (p *Program) appendOperand(buf []byte, f *Function, o Operand) []byte {
+	if !o.Valid() {
+		return append(buf, '_')
+	}
+	if o.IsConst {
+		return strconv.AppendInt(buf, int64(o.K), 10)
+	}
+	return append(buf, p.VarName(f, o.Ref)...)
+}
+
+// appendOp appends one operation's dump line (without the newline).
+func (p *Program) appendOp(buf []byte, f *Function, op *Op) []byte {
+	// assign appends "dst = opcode " for the value-producing forms.
+	assign := func(code string) []byte {
+		return append(append(append(append(buf, p.VarName(f, op.Dst)...), " = "...), code...), ' ')
+	}
 	switch {
 	case op.Code == ConstOp:
-		return fmt.Sprintf("%s = const %d", p.VarName(f, op.Dst), op.Imm)
+		return strconv.AppendInt(assign("const"), int64(op.Imm), 10)
 	case op.Code.IsBinary():
-		return fmt.Sprintf("%s = %s %s, %s", p.VarName(f, op.Dst), op.Code,
-			p.operandString(f, op.A), p.operandString(f, op.B))
+		buf = append(p.appendOperand(assign(op.Code.String()), f, op.A), ", "...)
+		return p.appendOperand(buf, f, op.B)
 	case op.Code.IsUnary():
-		return fmt.Sprintf("%s = %s %s", p.VarName(f, op.Dst), op.Code,
-			p.operandString(f, op.A))
+		return p.appendOperand(assign(op.Code.String()), f, op.A)
 	case op.Code == Load:
-		return fmt.Sprintf("%s = load %s[%s]", p.VarName(f, op.Dst),
-			p.ArrName(f, op.Arr), p.operandString(f, op.A))
+		buf = append(append(assign("load"), p.ArrName(f, op.Arr)...), '[')
+		return append(p.appendOperand(buf, f, op.A), ']')
 	case op.Code == Store:
-		return fmt.Sprintf("store %s[%s] = %s", p.ArrName(f, op.Arr),
-			p.operandString(f, op.A), p.operandString(f, op.B))
+		buf = append(append(append(buf, "store "...), p.ArrName(f, op.Arr)...), '[')
+		buf = append(p.appendOperand(buf, f, op.A), "] = "...)
+		return p.appendOperand(buf, f, op.B)
 	case op.Code == Call:
-		args := make([]string, len(op.Args))
-		for i, a := range op.Args {
-			args[i] = p.operandString(f, a)
-		}
-		dst := ""
 		if op.Dst.Valid() {
-			dst = p.VarName(f, op.Dst) + " = "
+			buf = append(append(buf, p.VarName(f, op.Dst)...), " = "...)
 		}
-		return fmt.Sprintf("%scall %s(%s)", dst, op.Callee, strings.Join(args, ", "))
+		buf = append(append(append(buf, "call "...), op.Callee...), '(')
+		for i, a := range op.Args {
+			if i > 0 {
+				buf = append(buf, ", "...)
+			}
+			buf = p.appendOperand(buf, f, a)
+		}
+		return append(buf, ')')
 	case op.Code == Ret:
 		if op.A.Valid() {
-			return fmt.Sprintf("ret %s", p.operandString(f, op.A))
+			return p.appendOperand(append(buf, "ret "...), f, op.A)
 		}
-		return "ret"
+		return append(buf, "ret"...)
 	case op.Code == Br:
-		return fmt.Sprintf("br b%d", op.Target)
+		return strconv.AppendInt(append(buf, "br b"...), int64(op.Target), 10)
 	case op.Code == CBr:
-		return fmt.Sprintf("cbr %s, b%d, b%d", p.operandString(f, op.A), op.Then, op.Else)
+		buf = append(p.appendOperand(append(buf, "cbr "...), f, op.A), ", b"...)
+		buf = append(strconv.AppendInt(buf, int64(op.Then), 10), ", b"...)
+		return strconv.AppendInt(buf, int64(op.Else), 10)
 	default:
-		return op.Code.String()
+		return append(buf, op.Code.String()...)
 	}
 }

@@ -81,7 +81,7 @@ func (r *Region) Ops() []*Op {
 		for _, bid := range r.Blocks {
 			n += len(r.Func.Block(bid).Ops)
 		}
-		ops := make([]*Op, 0, n)
+		ops := make([]*Op, 0, n) //lint:alloc built once per region, then cached
 		for _, bid := range r.Blocks {
 			b := r.Func.Block(bid)
 			for i := range b.Ops {
@@ -89,7 +89,7 @@ func (r *Region) Ops() []*Op {
 			}
 		}
 		if ops == nil {
-			ops = []*Op{} // non-nil marks the cache as built
+			ops = []*Op{} //lint:alloc non-nil marks the cache as built
 		}
 		r.ops = ops
 	}

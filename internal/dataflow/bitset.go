@@ -221,3 +221,19 @@ func (s BitSet) Words() int {
 	s.ForEachIndex(func(i int) { total += int(s.ix.words[i]) })
 	return total
 }
+
+// IntersectWords returns the transfer width of s ∩ t — the Words of
+// s.Intersect(t) — without materializing the intersection.
+func (s BitSet) IntersectWords(t BitSet) int {
+	n := len(s.w)
+	if len(t.w) < n {
+		n = len(t.w)
+	}
+	total := 0
+	for wi := 0; wi < n; wi++ {
+		for w := s.w[wi] & t.w[wi]; w != 0; w &= w - 1 {
+			total += int(s.ix.words[wi*64+bits.TrailingZeros64(w)])
+		}
+	}
+	return total
+}

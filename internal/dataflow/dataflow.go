@@ -48,6 +48,27 @@ func GenUse(p *cdfg.Program, r *cdfg.Region) (gen, use BitSet) {
 // (p, r.Func)), letting several analyses of one function share the
 // namespace and combine their sets without re-interning.
 func GenUseOn(ix *Index, r *cdfg.Region) (gen, use BitSet) {
+	s := scanner{ix: ix}
+	return s.genUse(r)
+}
+
+// scanner runs the set computations over one function's Index, reading
+// every operation's operands through one reused AppendUses buffer
+// instead of a fresh Uses slice per operation.
+type scanner struct {
+	ix   *Index
+	uses []cdfg.VarRef
+}
+
+// opUses returns op's scalar reads; the slice is valid until the next
+// call.
+func (s *scanner) opUses(op *cdfg.Op) []cdfg.VarRef {
+	s.uses = op.AppendUses(s.uses[:0])
+	return s.uses
+}
+
+func (s *scanner) genUse(r *cdfg.Region) (gen, use BitSet) {
+	ix := s.ix
 	gen, use = ix.NewBitSet(), ix.NewBitSet()
 	written := ix.NewBitSet()
 	f := r.Func
@@ -57,7 +78,7 @@ func GenUseOn(ix *Index, r *cdfg.Region) (gen, use BitSet) {
 		for i := range b.Ops {
 			op := &b.Ops[i]
 			// Reads first.
-			for _, u := range op.Uses() {
+			for _, u := range s.opUses(op) {
 				ki := ix.IndexOf(keyOfVar(u))
 				if !written.ContainsIndex(ki) && !ix.IsTemp(ki) {
 					use.AddIndex(ki)
@@ -121,7 +142,25 @@ func Surroundings(p *cdfg.Program, r *cdfg.Region) (genPred, useSucc BitSet) {
 // SurroundingsOn is Surroundings over a caller-provided Index (which must
 // intern (p, r.Func)).
 func SurroundingsOn(ix *Index, r *cdfg.Region) (genPred, useSucc BitSet) {
-	p := ix.p
+	s := scanner{ix: ix}
+	genPred, useSucc = s.surroundingsInFunc(r)
+	// Other functions: their global effects may happen on either side.
+	// FuncEffect sets are globals-only, so the cross-index union is safe.
+	for _, other := range ix.p.Funcs {
+		if other == r.Func {
+			continue
+		}
+		g, u := FuncEffect(ix.p, other)
+		genPred.UnionWith(g)
+		useSucc.UnionWith(u)
+	}
+	return genPred, useSucc
+}
+
+// surroundingsInFunc is the part of Surroundings inside r's own
+// function: the textual before/after split of its other operations.
+func (s *scanner) surroundingsInFunc(r *cdfg.Region) (genPred, useSucc BitSet) {
+	ix := s.ix
 	genPred, useSucc = ix.NewBitSet(), ix.NewBitSet()
 	f := r.Func
 	maxID := -1
@@ -149,27 +188,6 @@ func SurroundingsOn(ix *Index, r *cdfg.Region) (genPred, useSucc BitSet) {
 			enclosedInLoop = true
 		}
 	}
-	record := func(op *cdfg.Op, before, after bool) {
-		if op.Code == cdfg.Store {
-			if before {
-				genPred.Add(keyOfArr(op.Arr))
-			}
-		} else if d := op.Def(); d.Valid() {
-			if ki := ix.IndexOf(keyOfVar(d)); !ix.IsTemp(ki) && before {
-				genPred.AddIndex(ki)
-			}
-		}
-		if after {
-			for _, u := range op.Uses() {
-				if ki := ix.IndexOf(keyOfVar(u)); !ix.IsTemp(ki) {
-					useSucc.AddIndex(ki)
-				}
-			}
-			if op.Code == cdfg.Load {
-				useSucc.Add(keyOfArr(op.Arr))
-			}
-		}
-	}
 	for _, b := range f.Blocks {
 		for i := range b.Ops {
 			op := &b.Ops[i]
@@ -178,18 +196,68 @@ func SurroundingsOn(ix *Index, r *cdfg.Region) (genPred, useSucc BitSet) {
 			}
 			before := op.ID < first || enclosedInLoop
 			after := op.ID > last || enclosedInLoop
-			record(op, before, after)
+			if op.Code == cdfg.Store {
+				if before {
+					genPred.Add(keyOfArr(op.Arr))
+				}
+			} else if d := op.Def(); d.Valid() {
+				if ki := ix.IndexOf(keyOfVar(d)); !ix.IsTemp(ki) && before {
+					genPred.AddIndex(ki)
+				}
+			}
+			if after {
+				for _, u := range s.opUses(op) {
+					if ki := ix.IndexOf(keyOfVar(u)); !ix.IsTemp(ki) {
+						useSucc.AddIndex(ki)
+					}
+				}
+				if op.Code == cdfg.Load {
+					useSucc.Add(keyOfArr(op.Arr))
+				}
+			}
 		}
-	}
-	// Other functions: their global effects may happen on either side.
-	// FuncEffect sets are globals-only, so the cross-index union is safe.
-	for _, other := range p.Funcs {
-		if other == f {
-			continue
-		}
-		g, u := FuncEffect(p, other)
-		genPred.UnionWith(g)
-		useSucc.UnionWith(u)
 	}
 	return genPred, useSucc
+}
+
+// RegionSets are the four Fig. 3 sets of one region, over the Index of
+// the region's function.
+type RegionSets struct {
+	Gen, Use         BitSet // gen[c], use[c]
+	GenPred, UseSucc BitSet // gen[C_pred], use[C_succ]
+}
+
+// AllRegionSets computes the RegionSets of every region of p, in
+// p.Regions() order, in one pass: one Index per function, each
+// function's FuncEffect once (not once per region and other function),
+// and one operand buffer for every scan. Each entry equals what GenUseOn
+// and SurroundingsOn return for that region alone.
+func AllRegionSets(p *cdfg.Program) []RegionSets {
+	effGen, effUse := make([]BitSet, len(p.Funcs)), make([]BitSet, len(p.Funcs))
+	for fi, f := range p.Funcs {
+		if f.Root != nil {
+			effGen[fi], effUse[fi] = FuncEffect(p, f)
+		}
+	}
+	var out []RegionSets
+	s := scanner{}
+	for fi, f := range p.Funcs {
+		if f.Root == nil {
+			continue
+		}
+		s.ix = NewIndex(p, f)
+		for _, r := range f.Root.AllRegions() {
+			var rs RegionSets
+			rs.Gen, rs.Use = s.genUse(r)
+			rs.GenPred, rs.UseSucc = s.surroundingsInFunc(r)
+			for oi := range p.Funcs {
+				if oi != fi && effGen[oi].ix != nil {
+					rs.GenPred.UnionWith(effGen[oi])
+					rs.UseSucc.UnionWith(effUse[oi])
+				}
+			}
+			out = append(out, rs)
+		}
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lppart/internal/apps"
 	"lppart/internal/behav"
 	"lppart/internal/cdfg"
 )
@@ -374,6 +375,63 @@ func TestGenUseDisjointTempInvariant(t *testing.T) {
 							r.Func.Locals[k.ID].Name, r.Label)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestAllRegionSetsMatchesPerRegion: the one-pass computation must give
+// every region of every application, and of a multi-function program
+// whose surroundings cross functions, exactly the sets GenUseOn and
+// SurroundingsOn compute for that region alone.
+func TestAllRegionSetsMatchesPerRegion(t *testing.T) {
+	progs := []*cdfg.Program{build(t, `
+var a[8]; var g;
+func fill() { var i; for i = 0; i < 8; i = i + 1 { a[i] = i; } }
+func bump() { g = g + a[2]; }
+func main() {
+	var i; var s;
+	fill();
+	for i = 0; i < 8; i = i + 1 { s = s + a[i] * g; }
+	bump();
+	g = s;
+}
+`)}
+	for _, a := range apps.All() {
+		ir, err := a.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		progs = append(progs, ir)
+	}
+	same := func(x, y BitSet) bool {
+		kx, ky := x.Keys(), y.Keys()
+		if len(kx) != len(ky) {
+			return false
+		}
+		for i := range kx {
+			if kx[i] != ky[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, p := range progs {
+		regions := p.Regions()
+		sets := AllRegionSets(p)
+		if len(sets) != len(regions) {
+			t.Fatalf("%s: %d set entries for %d regions", p.Name, len(sets), len(regions))
+		}
+		for i, r := range regions {
+			ix := NewIndex(p, r.Func)
+			gen, use := GenUseOn(ix, r)
+			genPred, useSucc := SurroundingsOn(ix, r)
+			s := sets[i]
+			if !same(s.Gen, gen) || !same(s.Use, use) || !same(s.GenPred, genPred) || !same(s.UseSucc, useSucc) {
+				t.Errorf("%s %s: one-pass sets differ from the per-region computation", p.Name, r.Label)
+			}
+			if got, want := s.GenPred.IntersectWords(s.Use), genPred.Intersect(use).Words(); got != want {
+				t.Errorf("%s %s: IntersectWords = %d, Intersect().Words() = %d", p.Name, r.Label, got, want)
 			}
 		}
 	}

@@ -39,8 +39,9 @@ func VerifyGenUse(p *cdfg.Program, r *cdfg.Region) error {
 
 	// Direct enumeration of writes and reads, ignoring order.
 	writes, reads := ix.NewBitSet(), ix.NewBitSet()
+	s := scanner{ix: ix}
 	for _, op := range r.Ops() {
-		for _, u := range op.Uses() {
+		for _, u := range s.opUses(op) {
 			reads.Add(keyOfVar(u))
 		}
 		if op.Code == cdfg.Load {
@@ -80,7 +81,7 @@ func VerifyGenUse(p *cdfg.Program, r *cdfg.Region) error {
 	written := ix.NewBitSet()
 	for i := range entry.Ops {
 		op := &entry.Ops[i]
-		for _, u := range op.Uses() {
+		for _, u := range s.opUses(op) {
 			ki := ix.IndexOf(keyOfVar(u))
 			if !written.ContainsIndex(ki) && !ix.IsTemp(ki) && !use.ContainsIndex(ki) {
 				return fail("entry block reads %s before any write but use omits it", name(ix.KeyOf(ki)))

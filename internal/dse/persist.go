@@ -56,7 +56,7 @@ const (
 // part of it — the grid evaluation and search always run live.
 func fingerprint(ir *cdfg.Program, cfg *Config, anchorI, anchorD cache.Config, lib *tech.Library) [32]byte {
 	h := sha256.New()
-	io.WriteString(h, ir.Dump())
+	_ = ir.WriteDump(h) //lint:err hash writes never fail
 	fmt.Fprintf(h, "\x00i%+v\x00d%+v\x00m%d\x00s%d\x00x%d\x00",
 		anchorI, anchorD, cfg.Sys.MemWords, cfg.Sys.StackWords, cfg.Sys.MaxInstrs)
 	fmt.Fprintf(h, "lib%+v", *lib)

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"sync"
 	"testing"
 
 	"lppart/internal/explore"
@@ -183,5 +184,59 @@ func TestPricedSpliceMatchesPathOrder(t *testing.T) {
 	if gotE != wantE || gotC != wantC || gotG != wantG {
 		t.Errorf("re-spliced point (%v,%d,%d) != path-order point (%v,%d,%d)",
 			gotE, gotC, gotG, wantE, wantC, wantG)
+	}
+}
+
+// TestCandidatesWarmAllocs: once the Evaluator's region table is built,
+// a Candidates call allocates only what it returns — one slab of
+// Candidate structs, one of their cumulative µP statistics, and the all
+// and pool slices — however many regions the program has.
+func TestCandidatesWarmAllocs(t *testing.T) {
+	ir, prof, base := setup(t, hotLoopSrc)
+	e, err := NewEvaluator(ir, prof, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, pool := e.Candidates(base); len(pool) == 0 {
+		t.Fatal("no candidates")
+	}
+	allocs := testing.AllocsPerRun(100, func() { e.Candidates(base) })
+	if allocs > 4 {
+		t.Errorf("warm Candidates allocates %.1f objects per call, want at most 4", allocs)
+	}
+}
+
+// TestCandidatesConcurrentFirstUse: geometry workers make the first
+// Candidates calls of an Evaluator concurrently. The region table is
+// built under sync.Once, which also fills every region's lazy Ops cache
+// before another goroutine reads it; under -race this test fails if
+// either is built outside the Once. Every caller must get the same
+// ranking.
+func TestCandidatesConcurrentFirstUse(t *testing.T) {
+	ir, prof, base := setup(t, hotLoopSrc)
+	e, err := NewEvaluator(ir, prof, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	pools := make([][]*Candidate, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, pools[i] = e.Candidates(base)
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if len(pools[i]) != len(pools[0]) {
+			t.Fatalf("caller %d: pool of %d, caller 0: %d", i, len(pools[i]), len(pools[0]))
+		}
+		for j := range pools[i] {
+			if a, b := pools[i][j], pools[0][j]; a.Region != b.Region || a.Score != b.Score || a.Traffic != b.Traffic {
+				t.Errorf("caller %d: pool[%d] = %s, caller 0: %s", i, j, a.Region.Label, b.Region.Label)
+			}
+		}
 	}
 }

@@ -2,12 +2,14 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"lppart/internal/cdfg"
 	"lppart/internal/dataflow"
 	"lppart/internal/explore"
 	"lppart/internal/interp"
+	"lppart/internal/iss"
 )
 
 // PairKey identifies one (cluster, resource set) pair in the
@@ -35,6 +37,9 @@ type Evaluator struct {
 	prof *interp.Profile
 	cfg  Config
 	memo *explore.Memo[PairKey, *bindResult]
+
+	tableOnce sync.Once
+	table     *regionTable
 }
 
 // NewEvaluator validates the inputs (running the cdfg/dataflow verifiers
@@ -64,29 +69,49 @@ func (e *Evaluator) Config() Config { return e.cfg }
 // Program returns the program under evaluation.
 func (e *Evaluator) Program() *cdfg.Program { return e.p }
 
+// regionTable returns the baseline-independent per-region table,
+// building it on first use; geometry workers call Candidates
+// concurrently, so the build runs under sync.Once.
+//
+//lint:alloc cold-fill boundary, builds once per Evaluator; later calls only read the table
+func (e *Evaluator) regionTable() *regionTable {
+	e.tableOnce.Do(func() { e.table = newRegionTable(e.p, e.prof, e.cfg) })
+	return e.table
+}
+
 // Candidates runs Fig. 1 steps 1-5 against a measured baseline: cluster
 // decomposition (the region tree), per-cluster eligibility, the Fig. 3
 // bus-traffic estimate and score, and the N_max^c pre-selection. It
 // returns every candidate (with skip reasons filled in) and the
-// pre-selected pool in rank order.
+// pre-selected pool in rank order. The candidates are fresh on every
+// call, since callers append their own Evals; everything that does not
+// depend on base comes from the Evaluator's region table.
+//
+//lint:hotpath guarded by TestCandidatesWarmAllocs
 func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
-	cum := cumulative(e.p, base.Regions)
+	t := e.regionTable()
+	n := len(t.regions)
+	cands := make([]Candidate, n)    //lint:alloc the returned candidates, one slab per call
+	mup := make([]iss.RegionStat, n) //lint:alloc the candidates' cumulative µP statistics
+	all = make([]*Candidate, n)      //lint:alloc the returned trail
 
 	// Steps 1-2: G = {V,E} and cluster decomposition are the cdfg region
-	// tree. Enumerate candidates with their eligibility.
-	for _, r := range e.p.Regions() {
-		c := &Candidate{Region: r}
-		all = append(all, c)
-		if reason := ineligible(e.p, e.prof, r); reason != "" {
-			c.SkipReason = reason
+	// tree; eligibility and steps 3-4 (Fig. 3 traffic) come from the
+	// table.
+	for i, r := range t.regions {
+		row := &t.rows[i]
+		c := &cands[i]
+		c.Region = r
+		all[i] = c
+		if row.skip != "" {
+			c.SkipReason = row.skip
 			continue
 		}
-		prev, next := siblings(r)
-		// Steps 3-4: bus transfer energy (Fig. 3).
-		c.Traffic = EstimateTraffic(e.p, r, prev, next, e.cfg.Lib)
-		c.MuP = cum[r.ID]
-		c.Invocations = invocationsOf(e.prof, r)
-		if c.MuP == nil || c.MuP.Instrs == 0 {
+		c.Traffic = row.traffic
+		c.Invocations = row.invocations
+		c.MuP = &mup[i]
+		cumulate(c.MuP, t.regions[i:row.end], base.Regions)
+		if c.MuP.Instrs == 0 {
 			c.SkipReason = "cluster never executed on the µP"
 			continue
 		}
@@ -97,20 +122,24 @@ func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
 	}
 
 	// Step 5: pre-select the N_max^c most promising clusters.
+	pool = make([]*Candidate, 0, n) //lint:alloc the returned pool
 	for _, c := range all {
 		if c.SkipReason == "" {
 			pool = append(pool, c)
 		}
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].Score != pool[j].Score {
-			return pool[i].Score > pool[j].Score
+	slices.SortFunc(pool, func(a, b *Candidate) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return pool[i].Region.ID < pool[j].Region.ID
+		return a.Region.ID - b.Region.ID
 	})
 	if len(pool) > e.cfg.MaxClusters {
 		for _, c := range pool[e.cfg.MaxClusters:] {
-			c.SkipReason = fmt.Sprintf("pre-selection: below top %d by bus-traffic score", e.cfg.MaxClusters)
+			c.SkipReason = t.cutReason
 		}
 		pool = pool[:e.cfg.MaxClusters]
 	}

@@ -120,29 +120,24 @@ type Baseline struct {
 	ICacheAccessEnergy units.Energy
 }
 
-// cumulative aggregates per-region ISS statistics over each region and all
-// of its descendants: E_µP,c_i of Fig. 1 line 12 is the energy of *every*
-// instruction in the cluster, nested subclusters included (the ISS tags
-// instructions with their innermost region only).
-func cumulative(p *cdfg.Program, flat map[int]*iss.RegionStat) map[int]*iss.RegionStat {
-	out := make(map[int]*iss.RegionStat)
-	for _, r := range p.Regions() {
-		agg := &iss.RegionStat{}
-		r.Walk(func(x *cdfg.Region) {
-			s := flat[x.ID]
-			if s == nil {
-				return
-			}
-			agg.Instrs += s.Instrs
-			agg.Cycles += s.Cycles
-			agg.Energy += s.Energy
-			for k := range agg.Active {
-				agg.Active[k] += s.Active[k]
-			}
-		})
-		out[r.ID] = agg
+// cumulate adds a region subtree's per-region ISS statistics into agg:
+// E_µP,c_i of Fig. 1 line 12 is the energy of *every* instruction in the
+// cluster, nested subclusters included (the ISS tags instructions with
+// their innermost region only). subtree is in preorder, so the sums run
+// in the region tree's walk order.
+func cumulate(agg *iss.RegionStat, subtree []*cdfg.Region, flat map[int]*iss.RegionStat) {
+	for _, x := range subtree {
+		s := flat[x.ID]
+		if s == nil {
+			continue
+		}
+		agg.Instrs += s.Instrs
+		agg.Cycles += s.Cycles
+		agg.Energy += s.Energy
+		for k := range agg.Active {
+			agg.Active[k] += s.Active[k]
+		}
 	}
-	return out
 }
 
 // SetEval is the evaluation of one (cluster, resource set) pair —

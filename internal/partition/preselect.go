@@ -6,8 +6,11 @@
 package partition
 
 import (
+	"fmt"
+
 	"lppart/internal/cdfg"
 	"lppart/internal/dataflow"
+	"lppart/internal/interp"
 	"lppart/internal/tech"
 	"lppart/internal/units"
 )
@@ -51,7 +54,9 @@ func (t Traffic) EffectiveWords(prevInHW, nextInHW bool) (in, out int) {
 
 // EstimateTraffic runs the Fig. 3 algorithm for one candidate cluster.
 // prev and next are the neighbouring sibling clusters (c_{i-1}, c_{i+1});
-// either may be nil.
+// either may be nil. It derives every set from scratch; the Evaluator
+// prices all regions at once from dataflow.AllRegionSets instead (see
+// regionTable), and tests hold the two equal.
 func EstimateTraffic(p *cdfg.Program, c *cdfg.Region, prev, next *cdfg.Region, lib *tech.Library) Traffic {
 	ix := dataflow.NewIndex(p, c.Func)
 	gen, use := dataflow.GenUseOn(ix, c)
@@ -77,6 +82,86 @@ func EstimateTraffic(p *cdfg.Program, c *cdfg.Region, prev, next *cdfg.Region, l
 	perWord := lib.Bus.EReadWord + lib.Bus.EWriteWord
 	t.Energy = units.Energy(float64(t.WordsIn+t.WordsOut)) * perWord
 	return t
+}
+
+// trafficOf is Fig. 3 over precomputed sets: s is the cluster's, prev and
+// next its same-function neighbours' (either may be nil).
+func trafficOf(s, prev, next *dataflow.RegionSets, lib *tech.Library) Traffic {
+	var t Traffic
+	t.WordsIn = s.GenPred.IntersectWords(s.Use)  // step 1
+	t.WordsOut = s.Gen.IntersectWords(s.UseSucc) // step 3
+	if prev != nil {
+		t.SynergyIn = prev.Gen.IntersectWords(s.Use) // step 2
+	}
+	if next != nil {
+		t.SynergyOut = s.Gen.IntersectWords(next.Use) // step 4
+	}
+	perWord := lib.Bus.EReadWord + lib.Bus.EWriteWord // step 5
+	t.Energy = units.Energy(float64(t.WordsIn+t.WordsOut)) * perWord
+	return t
+}
+
+// regionRow is the baseline-independent part of one region's candidate
+// trail: eligibility, Fig. 3 traffic and invocation count read only the
+// program, the profile and the library. Traffic and invocations are
+// filled for every region; Candidates copies them only into eligible
+// candidates.
+type regionRow struct {
+	skip        string // ineligibility reason, "" when eligible
+	traffic     Traffic
+	invocations int64
+	end         int // regions[i:end] is region i's subtree, in preorder
+}
+
+// regionTable holds every region's regionRow, in p.Regions() order. An
+// Evaluator builds it once; each Candidates call (every geometry
+// baseline, every greedy round) copies from it and redoes only the
+// baseline half of steps 1-5.
+type regionTable struct {
+	regions   []*cdfg.Region
+	rows      []regionRow
+	cutReason string // SkipReason of clusters below the N_max^c cut
+}
+
+// newRegionTable builds the table in one pass over the program's
+// dataflow sets.
+func newRegionTable(p *cdfg.Program, prof *interp.Profile, cfg Config) *regionTable {
+	regions := p.Regions()
+	t := &regionTable{
+		regions:   regions,
+		rows:      make([]regionRow, len(regions)),
+		cutReason: fmt.Sprintf("pre-selection: below top %d by bus-traffic score", cfg.MaxClusters),
+	}
+	pos := make(map[*cdfg.Region]int, len(regions))
+	for i, r := range regions {
+		pos[r] = i
+	}
+	sets := dataflow.AllRegionSets(p)
+	for i, r := range regions {
+		row := &t.rows[i]
+		row.end = i + subtreeSize(r)
+		row.skip = ineligible(p, prof, r)
+		var ps, ns *dataflow.RegionSets
+		prev, next := siblings(r)
+		if prev != nil && prev.Func == r.Func {
+			ps = &sets[pos[prev]]
+		}
+		if next != nil && next.Func == r.Func {
+			ns = &sets[pos[next]]
+		}
+		row.traffic = trafficOf(&sets[i], ps, ns, cfg.Lib)
+		row.invocations = invocationsOf(prof, r)
+	}
+	return t
+}
+
+// subtreeSize counts r and its descendants.
+func subtreeSize(r *cdfg.Region) int {
+	n := 1
+	for _, c := range r.Children {
+		n += subtreeSize(c)
+	}
+	return n
 }
 
 // siblings returns the previous and next sibling regions of c in its

@@ -139,8 +139,33 @@ type slotKey struct {
 	id     int
 }
 
+// slotState is buildDFG's dependence state of one slot within a block.
+type slotState struct {
+	lastDef, lastStore int   // node index of the last writer / array store, -1 if none
+	uses, loads        []int // reads since lastDef, array loads since lastStore
+}
+
+// slot returns k's state, reset the first time k is seen in the block.
+// Reuse keeps every slot's lists' backing arrays, so a warmed-up
+// workspace appends without allocating. The pointer is valid until the
+// next call.
+func (ws *workspace) slot(k slotKey) *slotState {
+	i, ok := ws.slotOf[k]
+	if !ok {
+		i = int32(len(ws.slotOf))
+		ws.slotOf[k] = i
+		if int(i) == len(ws.slots) {
+			ws.slots = append(ws.slots, slotState{}) //lint:alloc slab growth to the high-water mark, then reused
+		}
+		st := &ws.slots[i]
+		st.lastDef, st.lastStore = -1, -1
+		st.uses, st.loads = st.uses[:0], st.loads[:0]
+	}
+	return &ws.slots[i]
+}
+
 // workspace is the reusable scratch state of one scheduling run: node and
-// occupancy slabs plus the dependence-tracking maps of buildDFG. Instances
+// occupancy slabs plus the per-slot dependence state of buildDFG. Instances
 // are drawn from a sync.Pool, so steady-state ScheduleBlock calls allocate
 // only the BlockSchedule they return. Every field is reset before use, so
 // pooling cannot affect results.
@@ -157,19 +182,12 @@ type workspace struct {
 	memUse  []int16
 	usageHi int
 
-	lastDef    map[slotKey]int
-	lastUses   map[slotKey][]int
-	lastStore  map[slotKey]int
-	loadsSince map[slotKey][]int
+	slotOf map[slotKey]int32 // slot -> index into slots, cleared per block
+	slots  []slotState
 }
 
 var wsPool = sync.Pool{New: func() any {
-	return &workspace{
-		lastDef:    make(map[slotKey]int),
-		lastUses:   make(map[slotKey][]int),
-		lastStore:  make(map[slotKey]int),
-		loadsSince: make(map[slotKey][]int),
-	}
+	return &workspace{slotOf: make(map[slotKey]int32)}
 }}
 
 // resetOccupancy prepares the step-indexed occupancy slabs for a block
@@ -432,14 +450,7 @@ func (ws *workspace) buildDFG(cfg Config, b *cdfg.Block) error {
 		nodes[to].preds++
 	}
 
-	lastDef := ws.lastDef // node index of last writer
-	lastUses := ws.lastUses
-	lastStore := ws.lastStore
-	loadsSince := ws.loadsSince
-	clear(lastDef)
-	clear(lastUses)
-	clear(lastStore)
-	clear(loadsSince)
+	clear(ws.slotOf)
 	// Values defined by unscheduled ops (consts) are always available;
 	// values from scheduled ops create RAW edges. Walk ops in block
 	// order, consulting only scheduled (node-mapped) producers.
@@ -450,50 +461,49 @@ func (ws *workspace) buildDFG(cfg Config, b *cdfg.Block) error {
 		// allocate a fresh slice per op, on every candidate schedule.
 		ws.useBuf = op.AppendUses(ws.useBuf[:0])
 		for _, u := range ws.useBuf {
-			k := slotKey{u.Global, u.ID}
 			if isNode {
-				if d, ok := lastDef[k]; ok {
-					addEdge(d, ni) // RAW
+				st := ws.slot(slotKey{u.Global, u.ID})
+				if st.lastDef >= 0 {
+					addEdge(st.lastDef, ni) // RAW
 				}
-				lastUses[k] = append(lastUses[k], ni)
+				st.uses = append(st.uses, ni)
 			}
 		}
 		if isNode && op.Code == cdfg.Load {
-			ak := slotKey{op.Arr.Global, op.Arr.ID}
-			if s, ok := lastStore[ak]; ok {
-				addEdge(s, ni) // memory RAW
+			st := ws.slot(slotKey{op.Arr.Global, op.Arr.ID})
+			if st.lastStore >= 0 {
+				addEdge(st.lastStore, ni) // memory RAW
 			}
-			loadsSince[ak] = append(loadsSince[ak], ni)
+			st.loads = append(st.loads, ni)
 		}
 		// Writes.
 		if isNode && op.Code == cdfg.Store {
-			ak := slotKey{op.Arr.Global, op.Arr.ID}
-			if s, ok := lastStore[ak]; ok {
-				addEdge(s, ni) // memory WAW
+			st := ws.slot(slotKey{op.Arr.Global, op.Arr.ID})
+			if st.lastStore >= 0 {
+				addEdge(st.lastStore, ni) // memory WAW
 			}
-			for _, l := range loadsSince[ak] {
+			for _, l := range st.loads {
 				addEdge(l, ni) // memory WAR
 			}
-			loadsSince[ak] = nil
-			lastStore[ak] = ni
+			st.loads = st.loads[:0]
+			st.lastStore = ni
 		}
 		if d := op.Def(); d.Valid() {
-			k := slotKey{d.Global, d.ID}
+			st := ws.slot(slotKey{d.Global, d.ID})
 			if isNode {
-				if prev, ok := lastDef[k]; ok {
-					addEdge(prev, ni) // WAW
+				if st.lastDef >= 0 {
+					addEdge(st.lastDef, ni) // WAW
 				}
-				for _, u := range lastUses[k] {
+				for _, u := range st.uses {
 					addEdge(u, ni) // WAR
 				}
-				lastDef[k] = ni
-				lastUses[k] = nil
+				st.lastDef = ni
 			} else {
 				// A const/copy-free def overwrites the slot: later
 				// readers no longer depend on the previous producer.
-				delete(lastDef, k)
-				lastUses[k] = nil
+				st.lastDef = -1
 			}
+			st.uses = st.uses[:0]
 		}
 	}
 
