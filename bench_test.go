@@ -47,7 +47,7 @@ func evaluateApp(b *testing.B, name string, cfg system.Config) *system.Evaluatio
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev, err := system.Evaluate(src, cfg)
+	ev, err := system.EvaluateCtx(context.Background(), src, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func BenchmarkExtensionControlDominated(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ev, err = system.Evaluate(src, system.Config{})
+		ev, err = system.EvaluateCtx(context.Background(), src, system.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func BenchmarkExtensionControlDominated(b *testing.B) {
 
 // partitionInputs builds the IR, profile and measured baseline the
 // partitioning inner loop needs, outside the timed section — the same
-// setup the system package performs before calling partition.Partition.
+// setup the system package performs before calling partition.PartitionCtx.
 func partitionInputs(b *testing.B, name string) (*cdfg.Program, *interp.Profile, *partition.Baseline) {
 	b.Helper()
 	a, err := apps.ByName(name)
@@ -295,7 +295,7 @@ func BenchmarkPartitionParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dec, err = partition.Partition(ir, prof, base, partition.Config{MaxCores: 3})
+		dec, err = partition.PartitionCtx(context.Background(), ir, prof, base, partition.Config{MaxCores: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func BenchmarkFig6Parallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		evals, err = system.EvaluateAll(srcs, system.Config{}, 0)
+		evals, err = system.EvaluateAllCtx(context.Background(), srcs, system.Config{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +62,7 @@ func main() {
 	// making every cluster unaffordable.
 	cfg := system.Config{}
 	cfg.Part.GEQBudget = 1
-	ev, err := system.Evaluate(src, cfg)
+	ev, err := system.EvaluateCtx(context.Background(), src, cfg)
 	if err != nil {
 		fatal(err)
 	}

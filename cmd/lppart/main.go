@@ -125,7 +125,7 @@ func main() {
 		return
 	}
 
-	ev, err := system.Evaluate(src, cfg)
+	ev, err := system.EvaluateCtx(context.Background(), src, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -15,8 +15,6 @@
 //	lppartd -addr=:9000 -workers=8 -queue=128 -cache=4096 -timeout=60s
 //	lppartd -store=/var/lib/lppartd # persist results across restarts
 //	lppartd -pprof=localhost:6060   # opt-in profiling listener
-//	lppartd -peers=http://n1:8095,http://n2:8095 -self=http://n1:8095 -coordinator
-//	                                # one node of an exploration cluster
 //
 // On SIGINT/SIGTERM the daemon drains: /readyz flips to 503, new
 // evaluations are shed, in-flight work completes (up to -drain), then
@@ -31,7 +29,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only via -pprof
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,9 +47,6 @@ func main() {
 		storeDir = flag.String("store", "", "persistent result store directory (a restarted daemon replays previously-computed 200 bodies byte-identically)")
 		roStore  = flag.Bool("store-readonly", false, "open -store read-only (fleet nodes sharing a writer's directory)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
-		peersCSV = flag.String("peers", "", "comma-separated cluster peer base URLs, including this node's (e.g. http://n1:8095,http://n2:8095)")
-		selfURL  = flag.String("self", "", "this node's base URL as it appears in -peers")
-		coord    = flag.Bool("coordinator", false, "accept POST /v1/cluster on this node (standalone nodes always do)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -65,19 +59,6 @@ func main() {
 		QueueDepth:   *queue,
 		CacheEntries: *entries,
 		Timeout:      *timeout,
-		Self:         *selfURL,
-		Coordinator:  *coord,
-	}
-	if *peersCSV != "" {
-		for _, p := range strings.Split(*peersCSV, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				scfg.Peers = append(scfg.Peers, p)
-			}
-		}
-		if *selfURL == "" {
-			fmt.Fprintln(os.Stderr, "lppartd: -peers requires -self (this node's URL in the peer list)")
-			os.Exit(2)
-		}
 	}
 	if *storeDir != "" {
 		st, err := memostore.Open(*storeDir, memostore.Options{ReadOnly: *roStore})

@@ -123,7 +123,7 @@ func evaluate(a apps.App, cfg system.Config) (*system.Evaluation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return system.Evaluate(src, cfg)
+	return system.EvaluateCtx(context.Background(), src, cfg)
 }
 
 // runFrontier renders the branch-and-bound Pareto frontier per

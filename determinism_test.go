@@ -7,6 +7,7 @@
 package lppart
 
 import (
+	"context"
 	"testing"
 
 	"lppart/internal/apps"
@@ -26,7 +27,7 @@ func renderApp(t *testing.T, a apps.App, workers int) (row, trail string) {
 	cfg := system.Config{}
 	cfg.Part.Workers = workers
 	cfg.Part.MaxCores = 2 // exercise the memoized rounds, not just round 1
-	ev, err := system.Evaluate(src, cfg)
+	ev, err := system.EvaluateCtx(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +65,18 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		srcs = append(srcs, src)
-		ev, err := system.Evaluate(src, system.Config{})
+		ev, err := system.EvaluateCtx(context.Background(), src, system.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial = append(serial, ev)
 	}
-	parallel, err := system.EvaluateAll(srcs, system.Config{}, 4)
+	parallel, err := system.EvaluateAllCtx(context.Background(), srcs, system.Config{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := report.Table1(parallel), report.Table1(serial); got != want {
-		t.Errorf("EvaluateAll Table 1 differs from serial evaluations:\n--- serial ---\n%s\n--- parallel ---\n%s",
+		t.Errorf("EvaluateAllCtx Table 1 differs from serial evaluations:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			want, got)
 	}
 }

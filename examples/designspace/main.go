@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func sweep(appName string, points []point) {
 		}
 		cfg := system.Config{}
 		pt.mutate(&cfg)
-		return system.Evaluate(src, cfg)
+		return system.EvaluateCtx(context.Background(), src, cfg)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev, err := system.Evaluate(src, system.Config{DCache: g.d})
+		ev, err := system.EvaluateCtx(context.Background(), src, system.Config{DCache: g.d})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := system.Evaluate(src, system.Config{})
+	ev, err := system.EvaluateCtx(context.Background(), src, system.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ev2, err := system.Evaluate(src2, cfg)
+		ev2, err := system.EvaluateCtx(context.Background(), src2, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

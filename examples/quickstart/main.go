@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 	// 2. Run the complete design flow: profile, measure the all-software
 	//    design, partition (Fig. 1), co-simulate the chosen design, and
 	//    verify the two designs compute identical results.
-	ev, err := system.Evaluate(prog, system.Config{})
+	ev, err := system.EvaluateCtx(context.Background(), prog, system.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"lppart/internal/apps"
+	"lppart/internal/cache"
 	"lppart/internal/cdfg"
 	"lppart/internal/partition"
 )
@@ -173,5 +175,31 @@ func TestExploreCancellation(t *testing.T) {
 	cancel()
 	if _, err := Explore(ctx, ir, Config{Workers: 2}); err == nil {
 		t.Fatal("cancelled Explore returned no error")
+	}
+}
+
+// TestReduceOrderFree: Reduce is a pure function of the point multiset.
+// The union of the per-geometry frontiers, with a duplicate thrown in,
+// reduces to the joint exploration's points byte for byte in any order.
+func TestReduceOrderFree(t *testing.T) {
+	ir := buildApp(t, "engine")
+	want := pointsJSON(t, run(t, ir, Config{Workers: 1}))
+	var union []Point
+	for _, g := range DefaultGeometries() {
+		union = append(union, run(t, ir, Config{Workers: 1, Geometries: [][2]cache.Config{g}}).Points...)
+	}
+	union = append(union, union[len(union)/2])
+	for trial := int64(0); trial < 3; trial++ {
+		perm := make([]Point, 0, len(union))
+		for _, i := range rand.New(rand.NewSource(trial)).Perm(len(union)) {
+			perm = append(perm, union[i])
+		}
+		pts := Reduce(perm)
+		for i := range pts {
+			pts[i].ID = i
+		}
+		if got := pointsJSON(t, &Frontier{Points: pts}); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: reduced union differs from the joint frontier:\n%s\nvs\n%s", trial, got, want)
+		}
 	}
 }

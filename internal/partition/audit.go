@@ -18,7 +18,7 @@ const auditRelTol = 1e-9
 // E_R/E_µP/E_rest terms must reproduce the reported objective value
 // (Fig. 1 line 13), utilization rates must be genuine rates in [0,1],
 // and the selected implementation must actually beat the all-software
-// objective. Partition runs it before returning when Config.Verify is
+// objective. PartitionCtx runs it before returning when Config.Verify is
 // set; cmd/report and cmd/lppart expose it via -verify.
 //
 // Only first-round evaluations are audited: the decision trail records

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 func decideVerified(t *testing.T) (*Decision, *Baseline) {
 	t.Helper()
 	ir, prof, base := setup(t, hotLoopSrc)
-	dec, err := Partition(ir, prof, base, Config{Verify: true})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{Verify: true})
 	if err != nil {
 		t.Fatalf("verified partition failed: %v", err)
 	}
@@ -48,11 +49,11 @@ func firstEligible(t *testing.T, dec *Decision) *SetEval {
 
 func TestVerifiedPartitionMatchesUnverified(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
-	plain, err := Partition(ir, prof, base, Config{})
+	plain, err := PartitionCtx(context.Background(), ir, prof, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := Partition(ir, prof, base, Config{Verify: true})
+	checked, err := PartitionCtx(context.Background(), ir, prof, base, Config{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

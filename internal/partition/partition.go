@@ -214,18 +214,14 @@ type Decision struct {
 	Memo MemoStats
 }
 
-// Partition runs the Fig. 1 process over the program: decompose into
+// PartitionCtx runs the Fig. 1 process over the program: decompose into
 // clusters (the region tree), estimate bus traffic (Fig. 3), pre-select,
 // schedule + bind (Fig. 4 via internal/asic) per resource set, evaluate
-// the objective function and pick the best implementation.
-func Partition(p *cdfg.Program, prof *interp.Profile, base *Baseline, cfg Config) (*Decision, error) {
-	return PartitionCtx(context.Background(), p, prof, base, cfg) //lint:ctx non-Ctx convenience wrapper
-}
-
-// PartitionCtx is Partition with cancellation: ctx is threaded into the
-// cluster × resource-set grid fan-out, so a cancelled or deadline-expired
-// caller (e.g. a served request whose HTTP deadline passed) stops the
-// worker pool from picking up further grid points and returns ctx.Err().
+// the objective function and pick the best implementation. ctx is
+// threaded into the cluster × resource-set grid fan-out, so a cancelled
+// or deadline-expired caller (e.g. a served request whose HTTP deadline
+// passed) stops the worker pool from picking up further grid points and
+// returns ctx.Err().
 func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *interp.Profile, base *Baseline, cfg Config) (*Decision, error) {
 	if prof == nil || base == nil {
 		return nil, fmt.Errorf("partition: profile and baseline are required")

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func main() {
 
 func TestPartitionChoosesHotCluster(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
-	dec, err := Partition(ir, prof, base, Config{})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +83,17 @@ func TestPartitionChoosesHotCluster(t *testing.T) {
 
 func TestPartitionRequiresInputs(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
-	if _, err := Partition(ir, nil, base, Config{}); err == nil {
+	if _, err := PartitionCtx(context.Background(), ir, nil, base, Config{}); err == nil {
 		t.Error("nil profile must error")
 	}
-	if _, err := Partition(ir, prof, nil, Config{}); err == nil {
+	if _, err := PartitionCtx(context.Background(), ir, prof, nil, Config{}); err == nil {
 		t.Error("nil baseline must error")
 	}
 }
 
 func TestPartitionDecisionTrailComplete(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
-	dec, err := Partition(ir, prof, base, Config{})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestPreselectionBudget(t *testing.T) {
 	// With MaxClusters=1 only the single best-scoring cluster is
 	// evaluated.
 	ir, prof, base := setup(t, hotLoopSrc)
-	dec, err := Partition(ir, prof, base, Config{MaxClusters: 1})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{MaxClusters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestPreselectionBudget(t *testing.T) {
 
 func TestGEQBudgetRejects(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
-	dec, err := Partition(ir, prof, base, Config{GEQBudget: 100})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{GEQBudget: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func main() {
 }
 `
 	ir, prof, base := setup(t, src)
-	dec, err := Partition(ir, prof, base, Config{})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func main() {
 }
 `
 	ir, prof, base := setup(t, src)
-	dec, err := Partition(ir, prof, base, Config{})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func main() {
 }
 `
 	ir, prof, base := setup(t, src)
-	dec, err := Partition(ir, prof, base, Config{})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func main() {
 
 func TestMemoReusesScheduleBinds(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
-	dec, err := Partition(ir, prof, base, Config{MaxCores: 2})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{MaxCores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestMemoReusesScheduleBinds(t *testing.T) {
 
 func TestMemoUnusedSingleCore(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
-	dec, err := Partition(ir, prof, base, Config{})
+	dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestMemoUnusedSingleCore(t *testing.T) {
 func TestPartitionWorkersDeterministic(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
 	trail := func(workers int) string {
-		dec, err := Partition(ir, prof, base, Config{Workers: workers, MaxCores: 2})
+		dec, err := PartitionCtx(context.Background(), ir, prof, base, Config{Workers: workers, MaxCores: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

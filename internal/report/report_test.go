@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func main() {
 	for i = 0; i < 128; i = i + 1 { total = total + out[i]; }
 }
 `)
-	ev, err := system.Evaluate(src, system.Config{MemWords: 1 << 16, StackWords: 1 << 12})
+	ev, err := system.EvaluateCtx(context.Background(), src, system.Config{MemWords: 1 << 16, StackWords: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func main() {
 	g = 1;
 }
 `)
-	ev, err := system.Evaluate(src, system.Config{MemWords: 1 << 16, StackWords: 1 << 12})
+	ev, err := system.EvaluateCtx(context.Background(), src, system.Config{MemWords: 1 << 16, StackWords: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

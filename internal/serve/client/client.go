@@ -3,9 +3,9 @@
 // transport errors) with capped exponential backoff plus full jitter, so
 // a fleet of clients hitting a shedding server spreads its retries
 // instead of thundering back in lockstep. With several endpoints
-// (NewMulti), retries rotate across the cluster's peers and repeatedly
-// failing peers are sidelined until they answer again, so one dead or
-// shedding node costs a backoff, not an error.
+// (NewMulti), retries rotate across the peers and repeatedly failing
+// peers are sidelined until they answer again, so one dead or shedding
+// node costs a backoff, not an error.
 package client
 
 import (
@@ -135,8 +135,8 @@ func New(baseURL string, opts ...func(*Config)) *Client {
 }
 
 // NewMulti returns a failover client over several equivalent endpoints
-// (a cluster's peer URLs). The first endpoint is preferred; see
-// Config.Endpoints for the rotation rules.
+// (e.g. replicated daemons sharing one store). The first endpoint is
+// preferred; see Config.Endpoints for the rotation rules.
 func NewMulti(endpoints []string, opts ...func(*Config)) *Client {
 	if len(endpoints) == 0 {
 		panic("lppartd client: NewMulti needs at least one endpoint")

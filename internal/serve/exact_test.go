@@ -203,3 +203,47 @@ func TestExactMetricsExposition(t *testing.T) {
 		t.Error("exact ok counter stuck at zero")
 	}
 }
+
+// TestJobPathsRefuseOtherKind: explore and exact jobs share one ledger,
+// but a job ID is valid only on the path of the endpoint that created
+// it. GET or DELETE through the other kind's path must answer 404
+// without touching the job, and /v1/jobs lists both.
+func TestJobPathsRefuseOtherKind(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	ids := map[string]string{}
+	for _, kind := range []string{"explore", "exact"} {
+		st, b, _ := post(t, ts.URL+"/v1/"+kind, `{"app":"trick","max_hw":1,"geometries":[{}]}`)
+		if st != http.StatusAccepted {
+			t.Fatalf("POST /v1/%s: status %d: %s", kind, st, b)
+		}
+		id := decodeJob(t, b).JobID
+		if jb := pollJobAt(t, ts.URL+"/v1/"+kind+"/", id); jb.State != "done" {
+			t.Fatalf("%s job ended %s: %s", kind, jb.State, jb.Error)
+		}
+		ids[kind] = id
+	}
+	for kind, other := range map[string]string{"explore": "exact", "exact": "explore"} {
+		url := ts.URL + "/v1/" + other + "/" + ids[kind]
+		if st, b := get(t, url); st != http.StatusNotFound || !strings.Contains(string(b), "unknown job") {
+			t.Errorf("GET %s job on /v1/%s: status %d: %s", kind, other, st, b)
+		}
+		if st, b := del(t, url); st != http.StatusNotFound || !strings.Contains(string(b), "unknown job") {
+			t.Errorf("DELETE %s job on /v1/%s: status %d: %s", kind, other, st, b)
+		}
+		if jb := pollJobAt(t, ts.URL+"/v1/"+kind+"/", ids[kind]); jb.State != "done" {
+			t.Errorf("%s job disturbed by a wrong-kind request: %+v", kind, jb)
+		}
+	}
+
+	st, b := get(t, ts.URL+"/v1/jobs")
+	if st != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: status %d: %s", st, b)
+	}
+	var jr JobsResponse
+	if err := json.Unmarshal(b, &jr); err != nil {
+		t.Fatalf("bad jobs body %s: %v", b, err)
+	}
+	if len(jr.Jobs) != 2 || jr.Jobs[0].JobID != ids["explore"] || jr.Jobs[1].JobID != ids["exact"] {
+		t.Errorf("ledger %s, want the explore then the exact job", b)
+	}
+}

@@ -196,77 +196,95 @@ type JobBody struct {
 	// Exact is a finished exact solve (an ExactBody), present once an
 	// exact job's State is "done".
 	Exact json.RawMessage `json:"exact,omitempty"`
-	// Cluster is a finished cluster exploration (a ClusterBody), present
-	// once a cluster job's State is "done".
-	Cluster json.RawMessage `json:"cluster,omitempty"`
 }
 
-// jobBody renders one snapshot for the named job endpoint ("explore"
-// or "exact"), which picks the poll path and the result field.
-func jobBody(endpoint string, snap jobs.Snapshot, existing bool) *JobBody {
+// jobKind is one async job endpoint. The explore and exact endpoints
+// share one handler family — decoding, the job ledger, admission, the
+// IR build, the dse configuration and the error mapping — and differ
+// only in the step that computes and marshals the finished body.
+type jobKind struct {
+	// name is the path segment, the metrics endpoint label and the kind
+	// recorded on the job.
+	name string
+	// canon versions the dedupe key space: both endpoints accept the
+	// same body but must never deduplicate onto each other's jobs.
+	canon string
+	// deadline is the failure reason when the job's context expires.
+	deadline string
+	// compute runs the search and returns the finished body.
+	compute func(ctx context.Context, ir *cdfg.Program, cfg dse.Config, key string) ([]byte, error)
+}
+
+var jobKinds = []*jobKind{
+	{name: "explore", canon: "explore/v1", deadline: "exploration deadline exceeded", compute: computeExplore},
+	{name: "exact", canon: "exact/v1", deadline: "exact solve deadline exceeded", compute: computeExact},
+}
+
+// jobBody renders one snapshot for its kind, which picks the poll path
+// and the result field.
+func jobBody(k *jobKind, snap jobs.Snapshot, existing bool) *JobBody {
 	b := &JobBody{
 		JobID:    snap.ID,
 		State:    snap.State.String(),
 		Done:     snap.Done,
 		Total:    snap.Total,
-		Poll:     "/v1/" + endpoint + "/" + snap.ID,
+		Poll:     "/v1/" + k.name + "/" + snap.ID,
 		Error:    snap.Error,
 		Existing: existing,
 	}
-	switch endpoint {
-	case "exact":
+	if k.name == "exact" {
 		b.Exact = snap.Result
-	case "cluster":
-		b.Cluster = snap.Result
-	default:
+	} else {
 		b.Frontier = snap.Result
 	}
 	return b
 }
 
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
+// handleJob is POST /v1/{kind}: it validates the request, dedupes it
+// onto an identical live job or creates one, and answers 202 with the
+// job to poll.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, k *jobKind) {
 	start := time.Now() //lint:nondet latency metric only; never in a response body
 	var req ExploreRequest
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
 		writeResult(w, errResult(aerr))
-		s.observe("explore", "bad_request", start)
+		s.observe(k.name, "bad_request", start)
 		return
 	}
-	in, key, aerr := req.canonicalize("explore/v1", s.cfg.MaxSourceBytes)
+	in, key, aerr := req.canonicalize(k.canon, s.cfg.MaxSourceBytes)
 	if aerr != nil {
 		writeResult(w, errResult(aerr))
-		s.observe("explore", "bad_request", start)
+		s.observe(k.name, "bad_request", start)
 		return
 	}
 	// The job is server-owned from birth: bounded by the configured
 	// timeout, cancelled by Abort or DELETE, independent of this request.
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
-	snap, created, err := s.jobs.Create(key, cancel)
+	snap, created, err := s.jobs.CreateKind(k.name, key, cancel)
 	if err != nil {
 		cancel()
 		res := errResult(&apiError{Status: http.StatusTooManyRequests, Err: "job table full"})
 		writeResult(w, res)
-		s.observe("explore", "shed_queue", start)
+		s.observe(k.name, "shed_queue", start)
 		return
 	}
 	if !created {
 		cancel()
-		res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("explore", snap, true))}
-		writeResult(w, res)
-		s.observe("explore", "ok", start)
+		writeResult(w, &flightResult{status: http.StatusOK, body: jsonBody(jobBody(k, snap, true))})
+		s.observe(k.name, "ok", start)
 		return
 	}
-	go s.runExplore(ctx, cancel, snap.ID, &req, in, key)
-	res := &flightResult{status: http.StatusAccepted, body: jsonBody(jobBody("explore", snap, false))}
-	writeResult(w, res)
-	s.observe("explore", "ok", start)
+	go s.runJob(ctx, cancel, k, snap.ID, &req, in, key)
+	writeResult(w, &flightResult{status: http.StatusAccepted, body: jsonBody(jobBody(k, snap, false))})
+	s.observe(k.name, "ok", start)
 }
 
-// runExplore is the job's worker goroutine: it queues for an admission
-// slot like every synchronous evaluation, then runs the exploration
-// serially inside that one slot (request-level parallelism belongs to
-// the worker pool, not to the inside of one slot).
-func (s *Server) runExplore(ctx context.Context, cancel context.CancelFunc, id string,
+// runJob is the job's worker goroutine: it queues for an admission slot
+// like every synchronous evaluation, then builds the IR and runs the
+// kind's search serially inside that one slot (request-level
+// parallelism belongs to the worker pool, not to the inside of one
+// slot).
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, k *jobKind, id string,
 	req *ExploreRequest, in *exploreInputs, key string) {
 	defer cancel()
 	if aerr := s.adm.acquire(ctx); aerr != nil {
@@ -301,53 +319,62 @@ func (s *Server) runExplore(ctx context.Context, cancel context.CancelFunc, id s
 	cfg.Sys.Part.GEQBudget = req.GEQBudget
 	cfg.Sys.Part.ResourceSets = in.sets
 	cfg.Sys.Part.Verify = req.Verify
-	f, err := dse.Explore(ctx, ir, cfg)
+	body, err := k.compute(ctx, ir, cfg, key)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.jobs.Fail(id, "exploration deadline exceeded")
+			s.jobs.Fail(id, k.deadline)
 			return
 		}
 		s.jobs.Fail(id, err.Error())
 		return
 	}
-	body, merr := json.Marshal(&FrontierBody{
-		App:            f.App,
-		Points:         f.Points,
-		Stats:          f.Stats,
-		Verified:       req.Verify,
-		CacheSignature: key,
-	})
-	if merr != nil {
-		s.jobs.Fail(id, "frontier not marshalable: "+merr.Error())
-		return
-	}
 	s.jobs.Finish(id, body)
 }
 
-func (s *Server) handleExploreGet(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	snap, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		res := errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
-		writeResult(w, res)
-		s.observe("explore", outcomeOf(res), start)
-		return
+// computeExplore is the explore kind's step: the branch-and-bound
+// Pareto frontier.
+func computeExplore(ctx context.Context, ir *cdfg.Program, cfg dse.Config, key string) ([]byte, error) {
+	f, err := dse.Explore(ctx, ir, cfg)
+	if err != nil {
+		return nil, err
 	}
-	res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("explore", snap, false))}
-	writeResult(w, res)
-	s.observe("explore", "ok", start)
+	body, err := json.Marshal(&FrontierBody{
+		App:            f.App,
+		Points:         f.Points,
+		Stats:          f.Stats,
+		Verified:       cfg.Sys.Part.Verify,
+		CacheSignature: key,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("frontier not marshalable: %w", err)
+	}
+	return body, nil
 }
 
-func (s *Server) handleExploreDelete(w http.ResponseWriter, r *http.Request) {
+// handleJobGet is GET /v1/{kind}/{id}: the job's current state.
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, k *jobKind) {
+	s.answerJob(w, r, k, s.jobs.Get)
+}
+
+// handleJobDelete is DELETE /v1/{kind}/{id}: cancel and forget the job,
+// answering with its final state.
+func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request, k *jobKind) {
+	s.answerJob(w, r, k, s.jobs.Delete)
+}
+
+// answerJob applies op to the job named in the path and renders the
+// snapshot it returns. A job of another kind is as unknown as a missing
+// one: an ID is only valid on the path of the endpoint that created it.
+func (s *Server) answerJob(w http.ResponseWriter, r *http.Request, k *jobKind,
+	op func(id string) (jobs.Snapshot, bool)) {
 	start := time.Now() //lint:nondet latency metric only; never in a response body
-	snap, ok := s.jobs.Delete(r.PathValue("id"))
-	if !ok {
-		res := errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
-		writeResult(w, res)
-		s.observe("explore", outcomeOf(res), start)
-		return
+	id := r.PathValue("id")
+	res := errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
+	if snap, ok := s.jobs.Get(id); ok && snap.Kind == k.name {
+		if snap, ok = op(id); ok {
+			res = &flightResult{status: http.StatusOK, body: jsonBody(jobBody(k, snap, false))}
+		}
 	}
-	res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("explore", snap, false))}
 	writeResult(w, res)
-	s.observe("explore", "ok", start)
+	s.observe(k.name, outcomeOf(res), start)
 }

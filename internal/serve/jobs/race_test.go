@@ -9,9 +9,8 @@ import (
 // TestConcurrentCancelFinishRace hammers the first-terminal-state-wins
 // rule: for every job, a canceler and a finisher race, and whichever
 // lands first must own the final snapshot — run under -race, this also
-// proves the table's locking. This is the cluster's steal scenario in
-// miniature: a stolen shard's duplicate run and the original owner both
-// try to finish one ledger entry.
+// proves the table's locking: a DELETE racing the worker's Finish on
+// one ledger entry.
 func TestConcurrentCancelFinishRace(t *testing.T) {
 	s := NewStore(256)
 	const n = 64

@@ -20,8 +20,9 @@
 // pair POST /v1/explore (branch-and-bound Pareto frontier) and POST
 // /v1/exact (certified exact optimum per geometry via the milp
 // oracle, certificates replayed server-side before the job finishes),
-// GET /v1/apps (the built-in Table 1 applications), plus /healthz,
-// /readyz and a Prometheus-text /metrics.
+// POST /v1/batch (many partition requests in one call), GET /v1/jobs
+// (the async job ledger), GET /v1/apps (the built-in Table 1
+// applications), plus /healthz, /readyz and a Prometheus-text /metrics.
 package serve
 
 import (
@@ -30,14 +31,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"lppart/internal/apps"
 	"lppart/internal/behav"
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
-	"lppart/internal/cluster"
 	"lppart/internal/memostore"
 	"lppart/internal/serve/jobs"
 	"lppart/internal/serve/metrics"
@@ -64,29 +63,14 @@ type Config struct {
 	// so an adversarial source cannot pin a worker for the full default
 	// simulation budget (default 50M).
 	MaxInstrs int64
-	// MaxJobs bounds the async exploration job table; once every slot
-	// holds an unfinished job, new POST /v1/explore requests are shed
-	// with 429 (default 64).
+	// MaxJobs bounds the async explore/exact job table; once every slot
+	// holds an unfinished job, new job POSTs are shed with 429
+	// (default 64).
 	MaxJobs int
-	// Self is this node's own base URL as it appears in Peers
-	// ("http://127.0.0.1:8095"). Shards and forwarded requests that the
-	// consistent-hash ring assigns to Self are computed locally instead
-	// of proxied back to this node's own listener.
-	Self string
-	// Peers are the cluster's node base URLs, including Self. Empty
-	// means standalone: no request routing, and cluster explorations
-	// run coordinator-only with a single local executor.
-	Peers []string
-	// Coordinator enables POST /v1/cluster on this node. Standalone
-	// nodes are always coordinators (of their one-node cluster); in a
-	// fleet, pointing every client at one coordinator keeps the job
-	// ledger and the prep cache hot in one place, so worker-only nodes
-	// answer 403 on /v1/cluster while still serving /v1/shard.
-	Coordinator bool
 	// Store, when non-nil, persistently backs the result cache:
 	// successful (200) bodies are written through to the
 	// content-addressed store and replayed verbatim on a hit, so a
-	// restarted daemon — or a fleet node sharing the directory read-only
+	// restarted daemon — or another daemon sharing the directory read-only
 	// — answers previously-computed requests byte-identically without
 	// recomputing them. Non-200 outcomes are never persisted, mirroring
 	// the in-memory cache's rule.
@@ -115,9 +99,6 @@ func (c *Config) defaults() {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 64
 	}
-	if len(c.Peers) == 0 {
-		c.Coordinator = true
-	}
 }
 
 // maxBodyBytes caps request bodies; a request is at most a source plus
@@ -134,15 +115,6 @@ type Server struct {
 	jobs    *jobs.Store
 	reg     *metrics.Registry
 
-	// Cluster state: the consistent-hash ring over cfg.Peers (nil when
-	// standalone), the shared prep cache behind /v1/shard and
-	// /v1/cluster, and the passively-tracked peer health.
-	ring  *cluster.Ring
-	preps *cluster.PrepCache
-
-	peerMu   sync.Mutex
-	peerDown map[string]bool
-
 	// baseCtx parents every computation; abort cancels it.
 	baseCtx context.Context
 	abort   context.CancelFunc
@@ -153,21 +125,13 @@ type Server struct {
 	cacheHit  *metrics.Counter
 	cacheMiss *metrics.Counter
 	cacheEvic *metrics.Counter
-
-	// Cluster instruments (satellite of the distributed-exploration
-	// subsystem): accepted shard results by executing peer, plus the
-	// coordinator's steal / duplicate / bound-broadcast tallies.
-	shardsByPeer map[string]*metrics.Counter
-	steals       *metrics.Counter
-	duplicates   *metrics.Counter
-	broadcasts   *metrics.Counter
 }
 
 // endpoints and outcomes instrumented up front, so the /metrics
 // exposition is complete (all-zero) from the first scrape.
 var endpointNames = []string{
 	"partition", "sweep", "explore", "exact", "apps", "version",
-	"shard", "batch", "cluster", "jobs",
+	"batch", "jobs",
 }
 
 var outcomeNames = []string{
@@ -191,11 +155,6 @@ func New(cfg Config) *Server {
 		abort:    cancel,
 		latency:  make(map[string]*metrics.Histogram),
 		outcomes: make(map[[2]string]*metrics.Counter),
-		preps:    cluster.NewPrepCache(0),
-		peerDown: make(map[string]bool),
-	}
-	if len(cfg.Peers) > 0 {
-		s.ring = cluster.NewRing(cfg.Peers, 0)
 	}
 	for _, ep := range endpointNames {
 		s.latency[ep] = s.reg.Histogram("lppartd_request_seconds",
@@ -226,43 +185,14 @@ func New(cfg Config) *Server {
 			metrics.Labels("state", st.String()),
 			func() float64 { return float64(s.jobs.Count(st)) })
 	}
-	// Cluster instruments are registered up front (all-zero) even when
-	// standalone, so the exposition's shape does not depend on flags;
-	// per-peer shard counters cover the configured peers, with "local"
-	// naming the standalone coordinator's single anonymous executor.
-	s.reg.GaugeFunc("lppartd_peers", "cluster peers by health state",
-		metrics.Labels("state", "up"), func() float64 { return float64(s.countPeers(false)) })
-	s.reg.GaugeFunc("lppartd_peers", "cluster peers by health state",
-		metrics.Labels("state", "down"), func() float64 { return float64(s.countPeers(true)) })
-	s.shardsByPeer = make(map[string]*metrics.Counter)
-	for _, p := range cfg.Peers {
-		s.shardsByPeer[p] = s.reg.Counter("lppartd_cluster_shards_total",
-			"accepted shard results by executing peer", metrics.Labels("peer", p))
-	}
-	if len(cfg.Peers) == 0 {
-		s.shardsByPeer[""] = s.reg.Counter("lppartd_cluster_shards_total",
-			"accepted shard results by executing peer", metrics.Labels("peer", "local"))
-	}
-	s.steals = s.reg.Counter("lppartd_cluster_steals_total",
-		"shards taken from another peer's queue", "")
-	s.duplicates = s.reg.Counter("lppartd_cluster_duplicates_total",
-		"straggler re-runs whose result lost the race", "")
-	s.broadcasts = s.reg.Counter("lppartd_cluster_bound_broadcasts_total",
-		"shard dispatches carrying a non-empty incumbent set", "")
-
 	s.mux.HandleFunc("POST /v1/partition", s.handlePartition)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/explore", s.handleExplore)
-	s.mux.HandleFunc("GET /v1/explore/{id}", s.handleExploreGet)
-	s.mux.HandleFunc("DELETE /v1/explore/{id}", s.handleExploreDelete)
-	s.mux.HandleFunc("POST /v1/exact", s.handleExact)
-	s.mux.HandleFunc("GET /v1/exact/{id}", s.handleExactGet)
-	s.mux.HandleFunc("DELETE /v1/exact/{id}", s.handleExactDelete)
-	s.mux.HandleFunc("POST /v1/shard", s.handleShard)
+	for _, k := range jobKinds {
+		s.mux.HandleFunc("POST /v1/"+k.name, func(w http.ResponseWriter, r *http.Request) { s.handleJob(w, r, k) })
+		s.mux.HandleFunc("GET /v1/"+k.name+"/{id}", func(w http.ResponseWriter, r *http.Request) { s.handleJobGet(w, r, k) })
+		s.mux.HandleFunc("DELETE /v1/"+k.name+"/{id}", func(w http.ResponseWriter, r *http.Request) { s.handleJobDelete(w, r, k) })
+	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/cluster", s.handleCluster)
-	s.mux.HandleFunc("GET /v1/cluster/{id}", s.handleClusterGet)
-	s.mux.HandleFunc("DELETE /v1/cluster/{id}", s.handleClusterDelete)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/apps", s.handleApps)
 	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
@@ -423,7 +353,7 @@ func (s *Server) resultFor(r *http.Request, key string,
 			// not mask a later, healthier attempt.
 			s.cacheEvic.Add(int64(s.cache.add(key, &cachedBody{status: res.status, body: res.body})))
 			if s.cfg.Store != nil {
-				// Write errors (including ErrReadOnly on fleet nodes)
+				// Write errors (including ErrReadOnly on read-only stores)
 				// are deliberately swallowed: persistence accelerates,
 				// it must never fail a served request.
 				_ = s.cfg.Store.Put(storeKey(key), res.body) //lint:err persistence must never fail a served request
@@ -460,12 +390,6 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if aerr != nil {
 		writeResult(w, errResult(aerr))
 		s.observe("partition", "bad_request", start)
-		return
-	}
-	// In a cluster, the canonical key's ring owner computes (and caches)
-	// the result; everyone else proxies, so the LRU + memostore tiers
-	// shard cleanly instead of duplicating entries on every node.
-	if s.forwardPartition(w, r, &req, key, start) {
 		return
 	}
 	s.serveKey(w, r, "partition", key, start, s.partitionCompute(&req, prog, sets, key))
@@ -548,6 +472,91 @@ func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *Swe
 	}
 	return &flightResult{status: http.StatusOK,
 		body: jsonBody(buildSweepResponse(name, req.ISweep, tr, pairs, reps, key))}, nil
+}
+
+// maxBatchItems caps one /v1/batch request.
+const maxBatchItems = 64
+
+// BatchRequest is POST /v1/batch: many partition evaluations in one
+// call. Items run serially through the same cache → coalesce →
+// admission ladder as /v1/partition, so a batch is exactly as cheap as
+// its cache misses and never holds more than one worker slot.
+type BatchRequest struct {
+	Requests []PartitionRequest `json:"requests"`
+}
+
+// BatchItem is one finished batch entry: the item's HTTP status plus
+// the body /v1/partition would have served for it.
+type BatchItem struct {
+	Status int             `json:"status"`
+	Body   json.RawMessage `json:"body"`
+}
+
+// BatchResponse preserves request order.
+type BatchResponse struct {
+	Results []BatchItem `json:"results"`
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	start := time.Now() //lint:nondet latency metric only; never in a response body
+	var req BatchRequest
+	if aerr := s.decodeBody(w, r, &req); aerr != nil {
+		writeResult(w, errResult(aerr))
+		s.observe("batch", "bad_request", start)
+		return
+	}
+	if len(req.Requests) == 0 {
+		writeResult(w, errResult(badRequest("empty batch")))
+		s.observe("batch", "bad_request", start)
+		return
+	}
+	if len(req.Requests) > maxBatchItems {
+		writeResult(w, errResult(badRequest("batch too large")))
+		s.observe("batch", "bad_request", start)
+		return
+	}
+	resp := BatchResponse{Results: make([]BatchItem, 0, len(req.Requests))}
+	for i := range req.Requests {
+		item := &req.Requests[i]
+		prog, sets, key, aerr := item.canonicalize(s.cfg.MaxSourceBytes)
+		if aerr != nil {
+			resp.Results = append(resp.Results, BatchItem{Status: aerr.Status, Body: jsonBody(aerr)})
+			continue
+		}
+		res := s.resultFor(r, key, s.partitionCompute(item, prog, sets, key))
+		resp.Results = append(resp.Results, BatchItem{Status: res.status, Body: res.body})
+	}
+	writeResult(w, &flightResult{status: http.StatusOK, body: jsonBody(&resp)})
+	s.observe("batch", "ok", start)
+}
+
+// JobSummary is one ledger row of GET /v1/jobs.
+type JobSummary struct {
+	JobID string `json:"job_id"`
+	Key   string `json:"key"`
+	State string `json:"state"`
+	Done  int    `json:"done"`
+	Total int    `json:"total"`
+	Error string `json:"error,omitempty"`
+}
+
+// JobsResponse is the job ledger, in creation order.
+type JobsResponse struct {
+	Jobs []JobSummary `json:"jobs"`
+}
+
+// handleJobs lists this server's explore and exact jobs.
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+	start := time.Now() //lint:nondet latency metric only; never in a response body
+	var resp JobsResponse
+	for _, snap := range s.jobs.All() {
+		resp.Jobs = append(resp.Jobs, JobSummary{
+			JobID: snap.ID, Key: snap.Key, State: snap.State.String(),
+			Done: snap.Done, Total: snap.Total, Error: snap.Error,
+		})
+	}
+	writeResult(w, &flightResult{status: http.StatusOK, body: jsonBody(&resp)})
+	s.observe("jobs", "ok", start)
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {

@@ -380,3 +380,40 @@ func TestCacheEviction(t *testing.T) {
 		t.Error("recomputed body differs from the originally computed one")
 	}
 }
+
+// TestBatchEndpoint: one call, many partitions, per-item statuses, and
+// the items land in the same cache as /v1/partition.
+func TestBatchEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	st, b, _ := post(t, ts.URL+"/v1/batch",
+		`{"requests":[{"app":"engine"},{"app":"nope"},{"app":"engine"}]}`)
+	if st != 200 {
+		t.Fatalf("POST /v1/batch: status %d: %s", st, b)
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatalf("bad batch body %s: %v", b, err)
+	}
+	if len(resp.Results) != 3 {
+		t.Fatalf("got %d results, want 3", len(resp.Results))
+	}
+	if resp.Results[0].Status != 200 || resp.Results[2].Status != 200 {
+		t.Errorf("good items: status %d, %d", resp.Results[0].Status, resp.Results[2].Status)
+	}
+	if resp.Results[1].Status != http.StatusBadRequest {
+		t.Errorf("bad item: status %d", resp.Results[1].Status)
+	}
+	if !bytes.Equal(resp.Results[0].Body, resp.Results[2].Body) {
+		t.Error("identical batch items returned different bodies")
+	}
+
+	// The batch warmed the shared cache: a direct /v1/partition hit.
+	st, _, cacheHdr := post(t, ts.URL+"/v1/partition", `{"app":"engine"}`)
+	if st != 200 || cacheHdr != "hit" {
+		t.Errorf("partition after batch: status %d, X-Cache %q, want 200/hit", st, cacheHdr)
+	}
+
+	if st, b, _ := post(t, ts.URL+"/v1/batch", `{"requests":[]}`); st != http.StatusBadRequest {
+		t.Errorf("empty batch: status %d: %s", st, b)
+	}
+}

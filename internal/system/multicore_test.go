@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"testing"
 
 	"lppart/internal/apps"
@@ -32,7 +33,7 @@ func evalCores(t *testing.T, maxCores int) *Evaluation {
 	src := behav.MustParse("twohot", twoHotLoops)
 	cfg := Config{MemWords: 1 << 16, StackWords: 1 << 12}
 	cfg.Part.MaxCores = maxCores
-	ev, err := Evaluate(src, cfg)
+	ev, err := EvaluateCtx(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestMultiCoreSelectsTwoClusters(t *testing.T) {
 		t.Fatal("no partitioned design")
 	}
 	// The co-simulation with two ASIC cores must still be functionally
-	// identical to software — Evaluate verifies that internally, so
+	// identical to software — EvaluateCtx verifies that internally, so
 	// reaching here is the assertion.
 }
 
@@ -105,16 +106,16 @@ func TestMultiCoreOnPaperApp(t *testing.T) {
 	}
 	cfg := Config{}
 	cfg.Part.MaxCores = 3
-	ev, err := Evaluate(src, cfg)
+	ev, err := EvaluateCtx(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ev.Decision.Choices) < 1 {
 		t.Fatal("MPG must still partition")
 	}
-	// Functional verification ran inside Evaluate; the multi-core design
+	// Functional verification ran inside EvaluateCtx; the multi-core design
 	// must not be worse than the single-core one.
-	single, err := Evaluate(mustParse(t, a), Config{})
+	single, err := EvaluateCtx(context.Background(), mustParse(t, a), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // executing the application end to end and accounting every core's energy
 // — "it is an important feature of our approach that all system
 // components are taken into consideration to estimate energy savings"
-// (paper §4). Its Evaluate function runs the complete design flow of
+// (paper §4). Its EvaluateCtx function runs the complete design flow of
 // Fig. 5: profile → initial design measurement → partitioning →
 // partitioned design co-simulation → verification.
 package system
@@ -222,21 +222,15 @@ type isaProgram struct {
 	lay  *codegen.Layout
 }
 
-// EvaluateAll runs the full design flow for several applications
+// EvaluateAllCtx runs the full design flow for several applications
 // concurrently on a bounded worker pool (workers <= 0 selects one worker
-// per CPU) and returns the evaluations in input order. Evaluate is
+// per CPU) and returns the evaluations in input order. EvaluateCtx is
 // re-entrant — every run builds its own IR, designs, caches and cores —
 // so concurrent evaluations share only read-only state (the technology
-// library and resource sets of cfg, and the source ASTs).
-func EvaluateAll(srcs []*behav.Program, cfg Config, workers int) ([]*Evaluation, error) {
-	return EvaluateAllCtx(context.Background(), srcs, cfg, workers) //lint:ctx non-Ctx convenience wrapper
-}
-
-// EvaluateAllCtx is EvaluateAll with cancellation: a cancelled or
+// library and resource sets of cfg, and the source ASTs). A cancelled or
 // deadline-expired ctx stops the pool from starting new evaluations and
 // aborts in-progress ones at their next stage boundary, returning
-// ctx.Err(). Served requests use this so a timed-out caller stops
-// burning workers mid-grid.
+// ctx.Err(), so a timed-out caller stops burning workers mid-grid.
 func EvaluateAllCtx(ctx context.Context, srcs []*behav.Program, cfg Config, workers int) ([]*Evaluation, error) {
 	return explore.MapCtx(ctx, workers, srcs, func(_ int, src *behav.Program) (*Evaluation, error) {
 		ev, err := EvaluateCtx(ctx, src, cfg)
@@ -247,16 +241,11 @@ func EvaluateAllCtx(ctx context.Context, srcs []*behav.Program, cfg Config, work
 	})
 }
 
-// Evaluate runs the full design flow for one application: behavioral
+// EvaluateCtx runs the full design flow for one application: behavioral
 // source → IR → profile → initial design → partitioning → partitioned
-// design, with a functional cross-check between the two designs.
-// Evaluate is safe for concurrent use: it mutates nothing reachable from
-// its arguments.
-func Evaluate(src *behav.Program, cfg Config) (*Evaluation, error) {
-	return EvaluateCtx(context.Background(), src, cfg) //lint:ctx non-Ctx convenience wrapper
-}
-
-// EvaluateCtx is Evaluate with cancellation (see EvaluateAllCtx).
+// design, with a functional cross-check between the two designs. It is
+// safe for concurrent use: it mutates nothing reachable from its
+// arguments. ctx cancels the run at its next stage boundary.
 func EvaluateCtx(ctx context.Context, src *behav.Program, cfg Config) (*Evaluation, error) {
 	cfg.defaults()
 	ir, err := cdfg.Build(src)
@@ -266,15 +255,10 @@ func EvaluateCtx(ctx context.Context, src *behav.Program, cfg Config) (*Evaluati
 	return EvaluateIRCtx(ctx, ir, cfg)
 }
 
-// EvaluateIR is Evaluate starting from already-built IR.
-func EvaluateIR(ir *cdfg.Program, cfg Config) (*Evaluation, error) {
-	return EvaluateIRCtx(context.Background(), ir, cfg) //lint:ctx non-Ctx convenience wrapper
-}
-
 // MeasureInitialCtx runs the measurement front half of the Fig. 5 flow —
 // the profiling run and the initial (all-software) design — and returns
 // the partially-filled Evaluation (IR, Profile, Initial) together with
-// the partitioning Baseline derived from the measured design. Evaluate
+// the partitioning Baseline derived from the measured design. EvaluateCtx
 // continues from here into the greedy Fig. 1 loop; internal/dse's Pareto
 // explorer continues into a branch-and-bound search instead, but judges
 // every configuration against this same measured baseline.
@@ -365,11 +349,12 @@ func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.T
 	return &rec.Trace, nil
 }
 
-// EvaluateIRCtx is EvaluateIR with cancellation: ctx is checked at every
-// stage boundary of the Fig. 5 flow (profile → initial design →
-// partitioning → partitioned design) and threaded into the partitioner's
-// cluster × resource-set fan-out, so a cancelled evaluation stops at the
-// next boundary instead of running the flow to completion.
+// EvaluateIRCtx is EvaluateCtx starting from already-built IR. ctx is
+// checked at every stage boundary of the Fig. 5 flow (profile → initial
+// design → partitioning → partitioned design) and threaded into the
+// partitioner's cluster × resource-set fan-out, so a cancelled
+// evaluation stops at the next boundary instead of running the flow to
+// completion.
 func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluation, error) {
 	cfg.defaults()
 	lib := cfg.Part.Lib

@@ -36,7 +36,7 @@ func evaluateAll(t *testing.T) map[string]*Evaluation {
 				evalErr = err
 				return
 			}
-			ev, err := Evaluate(src, Config{})
+			ev, err := EvaluateCtx(context.Background(), src, Config{})
 			if err != nil {
 				evalErr = err
 				return
@@ -60,7 +60,7 @@ func main() {
 	for i = 0; i < 64; i = i + 1 { total = total + out[i]; }
 }
 `)
-	ev, err := Evaluate(src, Config{MemWords: 1 << 16, StackWords: 1 << 12})
+	ev, err := EvaluateCtx(context.Background(), src, Config{MemWords: 1 << 16, StackWords: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestPaperShapeUtilization(t *testing.T) {
 }
 
 // TestPartitionedMatchesInitialFunctionally re-asserts the built-in verify
-// step: Evaluate errors out if the designs diverge, so reaching here with
+// step: EvaluateCtx errors out if the designs diverge, so reaching here with
 // partitions chosen is itself the check; this test just documents it.
 func TestPartitionedMatchesInitialFunctionally(t *testing.T) {
 	evals := evaluateAll(t)
@@ -272,7 +272,7 @@ func TestGatedClockAblation(t *testing.T) {
 		}
 		cfg := Config{}
 		cfg.Part.Lib = lib
-		ev, err := Evaluate(src, cfg)
+		ev, err := EvaluateCtx(context.Background(), src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestCacheGeometryAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := Evaluate(src, Config{DCache: dc})
+		ev, err := EvaluateCtx(context.Background(), src, Config{DCache: dc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestWeightedUtilizationAblation(t *testing.T) {
 			}
 			cfg := Config{}
 			cfg.Part.WeightedU = weighted
-			ev, err := Evaluate(src, cfg)
+			ev, err := EvaluateCtx(context.Background(), src, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -395,7 +395,7 @@ func TestPartitionConfigF(t *testing.T) {
 	}
 	cfg := Config{}
 	cfg.Part = partition.Config{F: 4.0}
-	ev, err := Evaluate(src, cfg)
+	ev, err := EvaluateCtx(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
