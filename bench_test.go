@@ -623,17 +623,11 @@ func BenchmarkPipelineISSWithCaches(b *testing.B) {
 		bs := bus.New(lib)
 		ic, _ := cache.New("i", cache.DefaultICache(), lib.Cache, m, bs)
 		dc, _ := cache.New("d", cache.DefaultDCache(), lib.Cache, m, bs)
-		if _, err := iss.Run(mp, iss.Options{Mem: &benchMemSys{ic, dc}}); err != nil {
+		if _, err := iss.Run(mp, iss.Options{Mem: &iss.Caches{I: ic, D: dc}}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-type benchMemSys struct{ ic, dc *cache.Cache }
-
-func (m *benchMemSys) FetchInstr(a uint32) int { return m.ic.Access(int32(a/4), false) }
-func (m *benchMemSys) ReadData(a int32) int    { return m.dc.Access(a, false) }
-func (m *benchMemSys) WriteData(a int32) int   { return m.dc.Access(a, true) }
 
 func BenchmarkPipelineCacheSim(b *testing.B) {
 	lib := tech.Default()

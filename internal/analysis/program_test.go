@@ -96,7 +96,8 @@ func TestProgramFactsAndClosure(t *testing.T) {
 // test (asic.(*Core).RunASIC via TestRunASICZeroAlloc, asic.Bind via
 // TestBindAllocs, sched.ScheduleBlock via TestScheduleBlockZeroAlloc,
 // partition.(*DeltaEvaluator).EvalInto via TestDeltaEvalIntoZeroAlloc,
-// partition.(*Evaluator).Candidates via TestCandidatesWarmAllocs)
+// partition.(*Evaluator).Candidates via TestCandidatesWarmAllocs,
+// cache.(*Cache).Access via TestAccessZeroAlloc)
 // plus the annotated scheduler/splice inner loops must be hot roots,
 // and the closure must cross package boundaries (behav.EvalBinOp runs
 // inside the ASIC interpreter loop).
@@ -107,6 +108,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	prog := loadProgram(t,
 		"internal/cdfg", "internal/tech", "internal/behav",
 		"internal/sched", "internal/asic", "internal/partition", "internal/dse",
+		"internal/cache",
 	)
 	for _, name := range []string{
 		"sched.ScheduleBlock",
@@ -117,6 +119,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 		"partition.(*Priced).Remove",
 		"partition.(*DeltaEvaluator).EvalInto",
 		"dse.searchGeometry.walk",
+		"cache.(*Cache).Access",
 	} {
 		if n := nodeByName(t, prog, name); !n.Facts.HotRoot {
 			t.Errorf("%s: HotRoot = false, want annotated root", name)

@@ -1,6 +1,7 @@
 package asic
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -388,5 +389,20 @@ func main() {
 	uTiny, uWide := uOf(&sets[0]), uOf(&sets[3])
 	if uTiny < uWide {
 		t.Errorf("tiny-set utilization %.3f below wide-set %.3f", uTiny, uWide)
+	}
+}
+
+// TestActivityTable checks the switching-activity table against the
+// two-operand formula for every pair of toggled-bit counts, bit for bit.
+func TestActivityTable(t *testing.T) {
+	for bitsA := 0; bitsA <= 32; bitsA++ {
+		for bitsB := 0; bitsB <= 32; bitsB++ {
+			tglA := float64(bitsA) / 32
+			tglB := float64(bitsB) / 32
+			want := 0.25 + 0.75*(tglA+tglB)/2
+			if got := activity[bitsA+bitsB]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("activity[%d+%d] = %v, formula gives %v", bitsA, bitsB, got, want)
+			}
+		}
 	}
 }

@@ -33,7 +33,7 @@ import (
 //
 // All per-invocation state lives in dense tables sized at NewCore
 // (scalars and arrays by interned dataflow slot, temporaries by local ID,
-// placements and switching state by op ID, block metadata by block ID):
+// op state by op ID, block metadata by block ID):
 // a steady-state RunASIC performs no heap allocation and no map lookups.
 type Core struct {
 	ID      int
@@ -60,10 +60,6 @@ type Core struct {
 	WordsIn     int64
 	WordsOut    int64
 
-	// Switching-activity state per op ID (dense; persists across
-	// invocations like the datapath's registers do).
-	prevA, prevB []int32
-
 	// Dense per-invocation architectural state, reset by RunASIC.
 	scalars []int32   // by interned slot; non-touched slots read as zero
 	temps   []int32   // by local ID (datapath registers)
@@ -73,14 +69,39 @@ type Core struct {
 	deadArrays []int
 
 	// Dense runtime tables derived from Binding and the region shape.
-	placements []Placement // by op ID
-	placedOK   []bool
-	blockLen   []int64 // by block ID
-	inRegion   []bool  // by block ID
+	ops      []opState // by op ID
+	blockLen []int64   // by block ID
+	inRegion []bool    // by block ID
 
 	// MaxBlocksPerInvocation guards against runaway clusters.
 	MaxBlocks int64
 }
+
+// opState is one op's datapath state. Its price is what opEnergy charges:
+// nothing when the op is unplaced (consts, branches), a buffer access when
+// it runs on a memory port, and otherwise dur × activity × e. Its last
+// operands are the switching-activity state, which persists across
+// invocations like the datapath's registers do.
+type opState struct {
+	placed, mem  bool
+	prevA, prevB int32
+	dur          float64 // float64(Placement.Dur)
+	e            float64 // the placed resource's EnergyPerActiveCycle
+}
+
+// activity[k] is the switching-activity factor 0.25 + 0.75 × (tglA+tglB)/2
+// of an op whose two operands toggled k bits in total, tgl being toggled
+// bits / 32. Every step of the formula is exact for integer bit counts, so
+// the factor depends on the sum alone (TestActivityTable).
+var activity = func() (t [65]float64) {
+	for k := range t {
+		bitsA := min(k, 32)
+		tglA := float64(bitsA) / 32
+		tglB := float64(k-bitsA) / 32
+		t[k] = 0.25 + 0.75*(tglA+tglB)/2
+	}
+	return t
+}()
 
 type varSpan struct {
 	slot  int // interned dataflow slot
@@ -189,14 +210,16 @@ func (c *Core) buildTables(touched dataflow.BitSet) {
 			}
 		}
 	}
-	c.prevA = make([]int32, maxOp+1)
-	c.prevB = make([]int32, maxOp+1)
-	c.placements = make([]Placement, maxOp+1)
-	c.placedOK = make([]bool, maxOp+1)
+	c.ops = make([]opState, maxOp+1)
 	for id, pl := range c.Binding.PlacementOf { //lint:ordered dense fill, one distinct slot per key
-		if id >= 0 && id <= maxOp {
-			c.placements[id] = pl
-			c.placedOK[id] = true
+		if id < 0 || id > maxOp {
+			continue
+		}
+		st := &c.ops[id]
+		st.placed, st.mem = true, pl.Mem
+		if !pl.Mem {
+			st.dur = float64(pl.Dur)
+			st.e = float64(c.lib.Resource(pl.Kind).EnergyPerActiveCycle())
 		}
 	}
 	c.blockLen = make([]int64, maxBlock+1)
@@ -345,19 +368,16 @@ func (c *Core) writeSlot(r cdfg.VarRef, v int32) {
 // opEnergy charges one datapath operation with activity-scaled switching
 // energy: E = E_active_cycle(kind) × dur × (0.25 + 0.75 × toggle rate).
 func (c *Core) opEnergy(op *cdfg.Op, a, b int32) units.Energy {
-	if !c.placedOK[op.ID] {
+	st := &c.ops[op.ID]
+	if !st.placed {
 		return 0 // consts, branches: wiring and FSM, charged per cycle
 	}
-	pl := &c.placements[op.ID]
-	if pl.Mem {
+	if st.mem {
 		return c.lib.EBufferAccess
 	}
-	tglA := float64(bits.OnesCount32(uint32(c.prevA[op.ID]^a))) / 32
-	tglB := float64(bits.OnesCount32(uint32(c.prevB[op.ID]^b))) / 32
-	c.prevA[op.ID], c.prevB[op.ID] = a, b
-	act := 0.25 + 0.75*(tglA+tglB)/2
-	r := c.lib.Resource(pl.Kind)
-	return units.Energy(float64(pl.Dur) * act * float64(r.EnergyPerActiveCycle()))
+	toggled := bits.OnesCount32(uint32(st.prevA^a)) + bits.OnesCount32(uint32(st.prevB^b))
+	st.prevA, st.prevB = a, b
+	return units.Energy(st.dur * activity[toggled] * st.e)
 }
 
 // execute runs the region's blocks until control leaves for the exit

@@ -130,10 +130,24 @@ type Cache struct {
 	Cfg     Config
 	Stats   Stats
 	eAccess units.Energy
-	sets    [][]line
-	backend *mem.Memory
-	bus     *bus.Bus
-	tick    int64
+	// lines holds every way of every set in one slab: set s occupies
+	// lines[s*Assoc : (s+1)*Assoc].
+	lines []line
+	// lineShift and setShift are log2(LineWords) and log2(Sets), setMask
+	// is Sets-1: the index arithmetic of a non-negative address.
+	lineShift, setShift uint
+	setMask             int32
+	// last is the slab index of the most recently touched line and
+	// lastLine its line address, or -1 when no line was touched since
+	// New or Reset (no non-negative address maps to line -1). A repeat
+	// access to that line is a hit on the same way: only an access to
+	// another line can evict it, and that access would have become the
+	// last one.
+	last     int
+	lastLine int32
+	backend  *mem.Memory
+	bus      *bus.Bus
+	tick     int64
 }
 
 // New builds a cache. backend and b may be nil for a cache simulated in
@@ -143,10 +157,13 @@ func New(name string, cfg Config, ct tech.CacheTech, backend *mem.Memory, b *bus
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{Name: name, Cfg: cfg, backend: backend, bus: b}
-	c.sets = make([][]line, cfg.Sets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+	c := &Cache{
+		Name: name, Cfg: cfg, backend: backend, bus: b,
+		lines:     make([]line, cfg.Sets*cfg.Assoc),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineWords))),
+		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
+		setMask:   int32(cfg.Sets - 1),
+		lastLine:  -1,
 	}
 	// Analytical access energy from the geometry (see package comment).
 	c.eAccess = cfg.AccessEnergy(ct)
@@ -162,18 +179,51 @@ func (c *Cache) Energy() units.Energy {
 	return units.Energy(float64(c.Stats.Accesses)) * c.eAccess
 }
 
-// Access performs one word access. addr is a word address. It returns the
-// stall cycles beyond a hit (0 on hit).
-func (c *Cache) Access(addr int32, write bool) (stall int) {
-	if write && !c.Cfg.WriteBack {
-		panic(fmt.Sprintf("cache %s: write to read-only cache", c.Name))
+// HitLast is the fast path of Access, small enough to inline into a
+// simulator loop. When addr is non-negative and falls on the most recently
+// touched line, it books the hit exactly as Access would and returns true.
+// Otherwise it books nothing and returns false; the caller then calls
+// Access.
+func (c *Cache) HitLast(addr int32, write bool) bool {
+	if addr < 0 || addr>>c.lineShift != c.lastLine || (write && !c.Cfg.WriteBack) {
+		return false
 	}
 	c.tick++
 	c.Stats.Accesses++
-	lineAddr := addr / int32(c.Cfg.LineWords)
-	setIdx := int(lineAddr) & (c.Cfg.Sets - 1)
-	tag := lineAddr / int32(c.Cfg.Sets)
-	set := c.sets[setIdx]
+	c.Stats.Hits++
+	l := &c.lines[c.last]
+	l.lru = c.tick
+	l.dirty = l.dirty || write
+	return true
+}
+
+// Access performs one word access. addr is a word address. It returns the
+// stall cycles beyond a hit (0 on hit).
+//
+//lint:hotpath guarded by TestAccessZeroAlloc
+func (c *Cache) Access(addr int32, write bool) (stall int) {
+	if c.HitLast(addr, write) {
+		return 0
+	}
+	if write && !c.Cfg.WriteBack {
+		panic(fmt.Sprintf("cache %s: write to read-only cache", c.Name)) //lint:alloc panic path
+	}
+	c.tick++
+	c.Stats.Accesses++
+	var lineAddr, tag int32
+	var setIdx int
+	if addr >= 0 {
+		lineAddr = addr >> c.lineShift
+		setIdx = int(lineAddr & c.setMask)
+		tag = lineAddr >> c.setShift
+	} else {
+		// Signed division truncates toward zero, which no shift mimics.
+		lineAddr = addr / int32(c.Cfg.LineWords)
+		setIdx = int(lineAddr) & (c.Cfg.Sets - 1)
+		tag = lineAddr / int32(c.Cfg.Sets)
+	}
+	base := setIdx * c.Cfg.Assoc
+	set := c.lines[base : base+c.Cfg.Assoc]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.Stats.Hits++
@@ -181,6 +231,7 @@ func (c *Cache) Access(addr int32, write bool) (stall int) {
 			if write {
 				set[i].dirty = true
 			}
+			c.last, c.lastLine = base+i, lineAddr
 			return 0
 		}
 	}
@@ -220,25 +271,24 @@ func (c *Cache) Access(addr int32, write bool) (stall int) {
 		c.bus.Read(c.Cfg.LineWords)
 	}
 	set[victim] = line{valid: true, dirty: write, tag: tag, lru: c.tick}
+	c.last, c.lastLine = base+victim, lineAddr
 	return stall
 }
 
 // Flush writes back all dirty lines (end-of-run accounting) and returns
-// the stall cycles of the write-backs.
+// the stall cycles of the write-backs. Lines stay resident.
 func (c *Cache) Flush() (stall int) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
-				c.Stats.WriteBacks++
-				if c.backend != nil {
-					stall += c.backend.Write(c.Cfg.LineWords)
-				}
-				if c.bus != nil {
-					c.bus.Write(c.Cfg.LineWords)
-				}
-				l.dirty = false
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid && l.dirty {
+			c.Stats.WriteBacks++
+			if c.backend != nil {
+				stall += c.backend.Write(c.Cfg.LineWords)
 			}
+			if c.bus != nil {
+				c.bus.Write(c.Cfg.LineWords)
+			}
+			l.dirty = false
 		}
 	}
 	return stall
@@ -246,13 +296,10 @@ func (c *Cache) Flush() (stall int) {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{}
-		}
-	}
+	clear(c.lines)
 	c.Stats = Stats{}
 	c.tick = 0
+	c.lastLine = -1
 }
 
 // DefaultICache is the reference instruction-cache geometry: 2 KiB

@@ -348,18 +348,18 @@ func TestVictimFillsFirstInvalidWay(t *testing.T) {
 	for i, addr := range []int32{10, 20, 30, 40} {
 		c.Access(addr, false)
 		for w := 0; w <= i; w++ {
-			if !c.sets[0][w].valid {
+			if !c.lines[w].valid {
 				t.Fatalf("after %d fills, way %d is still invalid", i+1, w)
 			}
 		}
 		for w := i + 1; w < 4; w++ {
-			if c.sets[0][w].valid {
+			if c.lines[w].valid {
 				t.Fatalf("after %d fills, way %d is valid early (fill out of order)", i+1, w)
 			}
 		}
 	}
-	if c.sets[0][0].tag != 10 {
-		t.Errorf("way 0 holds tag %d, want the first fill (10)", c.sets[0][0].tag)
+	if c.lines[0].tag != 10 {
+		t.Errorf("way 0 holds tag %d, want the first fill (10)", c.lines[0].tag)
 	}
 	// No valid line may have been evicted while ways were free: every
 	// fill must still hit.

@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"lppart/internal/behav"
+	"lppart/internal/cache"
 	"lppart/internal/isa"
 	"lppart/internal/tech"
 	"lppart/internal/units"
@@ -46,6 +47,22 @@ type MemSystem interface {
 	ReadData(wordAddr int32) (stallCycles int)
 	WriteData(wordAddr int32) (stallCycles int)
 }
+
+// Caches is the MemSystem of a µP with an instruction cache I and a data
+// cache D. Run recognizes it and calls the two cores directly, with each
+// access's last-line fast path (cache.Cache.HitLast) inlined.
+type Caches struct {
+	I, D *cache.Cache
+}
+
+// FetchInstr accesses the instruction cache at the fetch's word address.
+func (m *Caches) FetchInstr(byteAddr uint32) int { return m.I.Access(int32(byteAddr/4), false) }
+
+// ReadData reads the data cache.
+func (m *Caches) ReadData(addr int32) int { return m.D.Access(addr, false) }
+
+// WriteData writes the data cache.
+func (m *Caches) WriteData(addr int32) int { return m.D.Access(addr, true) }
 
 // ASICHandler runs an ASIC core invocation on behalf of the rendezvous
 // instruction. It returns the cycles the ASIC needed (in µP clock cycles,
@@ -145,32 +162,20 @@ type SimError struct {
 // Error implements the error interface.
 func (e *SimError) Error() string { return fmt.Sprintf("iss: pc=%d: %s", e.PC, e.Msg) }
 
-// classOf maps machine opcodes to the energy model's instruction classes.
-func classOf(op isa.Opcode) tech.InstrClass {
-	switch op {
-	case isa.LI, isa.MOV:
-		return tech.IClassMove
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
-		isa.CMPEQ, isa.CMPNE, isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE,
-		isa.NEG, isa.NOT:
-		return tech.IClassALU
-	case isa.SLL, isa.SRA:
-		return tech.IClassShift
-	case isa.MUL:
-		return tech.IClassMul
-	case isa.DIV, isa.REM:
-		return tech.IClassDiv
-	case isa.LD:
-		return tech.IClassLoad
-	case isa.ST:
-		return tech.IClassStore
-	case isa.B, isa.BEQZ, isa.BNEZ, isa.JR:
-		return tech.IClassBranch
-	case isa.CALL:
-		return tech.IClassCall
-	default: // NOP, HALT
-		return tech.IClassNop
-	}
+// opClass maps machine opcodes to the energy model's instruction classes.
+// A dense array: the lookup sits on the per-instruction hot path of Run.
+var opClass = [isa.NumOpcodes]tech.InstrClass{
+	isa.NOP: tech.IClassNop, isa.HALT: tech.IClassNop, isa.ASIC: tech.IClassNop,
+	isa.LI: tech.IClassMove, isa.MOV: tech.IClassMove,
+	isa.ADD: tech.IClassALU, isa.SUB: tech.IClassALU, isa.AND: tech.IClassALU,
+	isa.OR: tech.IClassALU, isa.XOR: tech.IClassALU, isa.NEG: tech.IClassALU, isa.NOT: tech.IClassALU,
+	isa.CMPEQ: tech.IClassALU, isa.CMPNE: tech.IClassALU, isa.CMPLT: tech.IClassALU,
+	isa.CMPLE: tech.IClassALU, isa.CMPGT: tech.IClassALU, isa.CMPGE: tech.IClassALU,
+	isa.SLL: tech.IClassShift, isa.SRA: tech.IClassShift,
+	isa.MUL: tech.IClassMul, isa.DIV: tech.IClassDiv, isa.REM: tech.IClassDiv,
+	isa.LD: tech.IClassLoad, isa.ST: tech.IClassStore,
+	isa.B: tech.IClassBranch, isa.BEQZ: tech.IClassBranch, isa.BNEZ: tech.IClassBranch, isa.JR: tech.IClassBranch,
+	isa.CALL: tech.IClassCall,
 }
 
 // issToBinOp maps binary-ALU machine opcodes to their behavioral
@@ -210,14 +215,58 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 		}
 	}
 	regStats := make([]RegionStat, maxRegion+2)
-	finish := func() {
+	// The loop counts instructions per region and class; instruction
+	// counts and active cycles follow from those counts at HALT. Integer
+	// sums, so regrouping them leaves every total exact.
+	classCounts := make([][tech.NumInstrClasses]int64, maxRegion+2)
+	finish := func(instrs, busy int64, totalEnergy units.Energy) {
+		res.Instrs, res.Cycles, res.Energy = instrs, busy, totalEnergy
 		for id := range regStats {
-			if regStats[id].Instrs > 0 {
-				res.Regions[id-1] = &regStats[id]
+			st := &regStats[id]
+			for c, n := range classCounts[id] {
+				st.Instrs += n
+				res.PerClass[c] += n
+				for _, k := range micro.Uses[c] {
+					st.Active[k] += n * int64(micro.CyclesFor[c])
+				}
+			}
+			if st.Instrs > 0 {
+				res.Regions[id-1] = st
+			}
+		}
+		for c, n := range res.PerClass {
+			for _, k := range micro.Uses[c] {
+				res.Active[k] += n * int64(micro.CyclesFor[c])
 			}
 		}
 	}
 
+	// Predecode once per run: every instruction's class, and per class
+	// its base cycles and its energy after each preceding class (exactly
+	// micro.InstrEnergy's value).
+	classes := make([]tech.InstrClass, len(p.Code))
+	for i := range p.Code {
+		classes[i] = tech.IClassNop // unknown opcodes fault in the loop
+		if op := p.Code[i].Op; op >= 0 && op < isa.NumOpcodes {
+			classes[i] = opClass[op]
+		}
+	}
+	var baseCycles [tech.NumInstrClasses]int64
+	var stepEnergy [tech.NumInstrClasses][tech.NumInstrClasses]units.Energy // [prev][class]
+	for c := tech.InstrClass(0); c < tech.NumInstrClasses; c++ {
+		baseCycles[c] = int64(micro.CyclesFor[c])
+		for prev := tech.InstrClass(0); prev < tech.NumInstrClasses; prev++ {
+			stepEnergy[prev][c] = micro.InstrEnergy(prev, c)
+		}
+	}
+	// The cache pair is called directly; any other MemSystem (a trace
+	// recorder, a test double) goes through the interface.
+	caches, _ := opts.Mem.(*Caches)
+
+	// Run totals, kept in locals so the loop holds them in registers;
+	// finish stores them into res at HALT.
+	var instrs, busy int64
+	var totalEnergy units.Energy
 	pc := p.Entry
 	prevClass := tech.IClassNop
 	for {
@@ -225,13 +274,13 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 			return nil, &SimError{PC: pc, Msg: "pc out of range"}
 		}
 		ins := &p.Code[pc]
-		if res.Instrs >= maxInstrs {
+		if instrs >= maxInstrs {
 			return nil, &SimError{PC: pc, Msg: fmt.Sprintf("instruction limit %d exceeded", maxInstrs)}
 		}
 
 		if ins.Op == isa.HALT {
 			res.RV = regs[isa.RV]
-			finish()
+			finish(instrs, busy, totalEnergy)
 			return res, nil
 		}
 		if ins.Op == isa.ASIC {
@@ -240,8 +289,8 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 			}
 			// The rendezvous itself costs one µP cycle (trigger write);
 			// then the µP shuts down for the ASIC's duration.
-			res.Instrs++
-			res.Cycles++
+			instrs++
+			busy++
 			cyc, err := opts.ASIC.RunASIC(ins.Imm, mem)
 			if err != nil {
 				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("ASIC core %d: %v", ins.Imm, err)}
@@ -251,14 +300,17 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 			continue
 		}
 
-		res.Instrs++
-		class := classOf(ins.Op)
-		res.PerClass[class]++
-		cycles := int64(micro.CyclesFor[class])
-		if opts.Mem != nil {
+		instrs++
+		class := classes[pc]
+		cycles := baseCycles[class]
+		if caches != nil {
+			if a := int32(isa.ByteAddr(pc) / 4); !caches.I.HitLast(a, false) {
+				cycles += int64(caches.I.Access(a, false))
+			}
+		} else if opts.Mem != nil {
 			cycles += int64(opts.Mem.FetchInstr(isa.ByteAddr(pc)))
 		}
-		energy := micro.InstrEnergy(prevClass, class)
+		energy := stepEnergy[prevClass][class]
 		prevClass = class
 
 		next := pc + 1
@@ -277,7 +329,11 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 			if addr < 0 || int(addr) >= len(mem) {
 				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("load address %d out of range", addr)}
 			}
-			if opts.Mem != nil {
+			if caches != nil {
+				if !caches.D.HitLast(addr, false) {
+					cycles += int64(caches.D.Access(addr, false))
+				}
+			} else if opts.Mem != nil {
 				cycles += int64(opts.Mem.ReadData(addr))
 			}
 			regs[ins.Rd] = mem[addr]
@@ -286,7 +342,11 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 			if addr < 0 || int(addr) >= len(mem) {
 				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("store address %d out of range", addr)}
 			}
-			if opts.Mem != nil {
+			if caches != nil {
+				if !caches.D.HitLast(addr, true) {
+					cycles += int64(caches.D.Access(addr, true))
+				}
+			} else if opts.Mem != nil {
 				cycles += int64(opts.Mem.WriteData(addr))
 			}
 			mem[addr] = regs[ins.Rs2]
@@ -321,17 +381,12 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 		}
 		regs[isa.Zero] = 0 // r0 stays hardwired
 
-		res.Cycles += cycles
-		res.Energy += energy
+		busy += cycles
+		totalEnergy += energy
+		classCounts[ins.Region+1][class]++
 		st := &regStats[ins.Region+1]
-		st.Instrs++
 		st.Cycles += cycles
 		st.Energy += energy
-		activeCycles := int64(micro.CyclesFor[class])
-		for _, k := range micro.Uses[class] {
-			res.Active[k] += activeCycles
-			st.Active[k] += activeCycles
-		}
 
 		pc = next
 	}

@@ -1,12 +1,107 @@
 package iss
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"lppart/internal/apps"
+	"lppart/internal/cache"
+	"lppart/internal/codegen"
 	"lppart/internal/isa"
 	"lppart/internal/tech"
 )
+
+// classOf is the reference mapping from machine opcodes to the energy
+// model's instruction classes; Run's dense opClass table must agree.
+func classOf(op isa.Opcode) tech.InstrClass {
+	switch op {
+	case isa.LI, isa.MOV:
+		return tech.IClassMove
+	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
+		isa.CMPEQ, isa.CMPNE, isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE,
+		isa.NEG, isa.NOT:
+		return tech.IClassALU
+	case isa.SLL, isa.SRA:
+		return tech.IClassShift
+	case isa.MUL:
+		return tech.IClassMul
+	case isa.DIV, isa.REM:
+		return tech.IClassDiv
+	case isa.LD:
+		return tech.IClassLoad
+	case isa.ST:
+		return tech.IClassStore
+	case isa.B, isa.BEQZ, isa.BNEZ, isa.JR:
+		return tech.IClassBranch
+	case isa.CALL:
+		return tech.IClassCall
+	default: // NOP, HALT
+		return tech.IClassNop
+	}
+}
+
+func TestOpClassMatchesClassOf(t *testing.T) {
+	for op := isa.Opcode(0); op < isa.NumOpcodes; op++ {
+		if got, want := opClass[op], classOf(op); got != want {
+			t.Errorf("opClass[%v] = %v, classOf = %v", op, got, want)
+		}
+	}
+}
+
+// forwardMem hides a Caches behind the MemSystem interface, so Run takes
+// its interface path over the same cache cores.
+type forwardMem struct{ c *Caches }
+
+func (f forwardMem) FetchInstr(a uint32) int { return f.c.FetchInstr(a) }
+func (f forwardMem) ReadData(a int32) int    { return f.c.ReadData(a) }
+func (f forwardMem) WriteData(a int32) int   { return f.c.WriteData(a) }
+
+// TestCachesDirectMatchesInterface runs every application once with the
+// cache pair called directly and once through the interface: results,
+// final memory and cache counters must be identical.
+func TestCachesDirectMatchesInterface(t *testing.T) {
+	lib := tech.Default()
+	newCaches := func(t *testing.T) *Caches {
+		ic, err := cache.New("i", cache.DefaultICache(), lib.Cache, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dc, err := cache.New("d", cache.DefaultDCache(), lib.Cache, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Caches{I: ic, D: dc}
+	}
+	for _, a := range apps.All() {
+		t.Run(a.Name, func(t *testing.T) {
+			ir, err := a.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _, err := codegen.Compile(ir, codegen.Options{MemWords: 1 << 18})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, viaIface := newCaches(t), newCaches(t)
+			rd, err := Run(p, Options{Micro: &lib.Micro, Mem: direct})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ri, err := Run(p, Options{Micro: &lib.Micro, Mem: forwardMem{viaIface}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rd, ri) {
+				t.Errorf("direct result differs from interface result")
+			}
+			if direct.I.Stats != viaIface.I.Stats || direct.D.Stats != viaIface.D.Stats {
+				t.Errorf("cache stats: direct i %+v d %+v, interface i %+v d %+v",
+					direct.I.Stats, direct.D.Stats, viaIface.I.Stats, viaIface.D.Stats)
+			}
+		})
+	}
+}
 
 // asm builds a program from instructions with a 64Ki-word memory.
 func asm(code ...isa.Instr) *isa.Program {

@@ -118,39 +118,6 @@ func (e *Evaluation) TimeChange() float64 {
 	return units.PercentChange(float64(e.Initial.TotalCycles()), float64(e.Partitioned.TotalCycles()))
 }
 
-// memSys wires the ISS to the cache cores.
-type memSys struct {
-	ic, dc *cache.Cache
-}
-
-func (m *memSys) FetchInstr(byteAddr uint32) int { return m.ic.Access(int32(byteAddr/4), false) }
-func (m *memSys) ReadData(addr int32) int        { return m.dc.Access(addr, false) }
-func (m *memSys) WriteData(addr int32) int       { return m.dc.Access(addr, true) }
-
-// teeMemSys simulates the caches AND records the reference trace in one
-// pass. The recorder sees exactly the access sequence a dedicated
-// recording run would (the sequence is a pure function of the program),
-// so measurement and trace capture share a single ISS execution.
-type teeMemSys struct {
-	ms  *memSys
-	rec *trace.Recorder
-}
-
-func (t *teeMemSys) FetchInstr(byteAddr uint32) int {
-	t.rec.FetchInstr(byteAddr)
-	return t.ms.FetchInstr(byteAddr)
-}
-
-func (t *teeMemSys) ReadData(addr int32) int {
-	t.rec.ReadData(addr)
-	return t.ms.ReadData(addr)
-}
-
-func (t *teeMemSys) WriteData(addr int32) int {
-	t.rec.WriteData(addr)
-	return t.ms.WriteData(addr)
-}
-
 // runDesign executes one compiled program against fresh cache/memory/bus
 // cores and collects the per-core accounting.
 func runDesign(name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler,
@@ -175,9 +142,13 @@ func runDesignRec(name string, mp *isaProgram, cfg *Config, handler iss.ASICHand
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var sys iss.MemSystem = &memSys{ic: ic, dc: dc}
+	// A recorder sees exactly the access sequence a dedicated recording
+	// run would (the sequence is a pure function of the program), so
+	// measurement and trace capture share a single ISS execution.
+	var sys iss.MemSystem = &iss.Caches{I: ic, D: dc}
 	if rec != nil {
-		sys = &teeMemSys{ms: sys.(*memSys), rec: rec}
+		rec.Inner = sys
+		sys = rec
 	}
 	res, err := iss.Run(mp.prog, iss.Options{
 		Micro:     micro,
@@ -256,7 +227,8 @@ func EvaluateCtx(ctx context.Context, src *behav.Program, cfg Config) (*Evaluati
 }
 
 // MeasureInitialCtx runs the measurement front half of the Fig. 5 flow —
-// the profiling run and the initial (all-software) design — and returns
+// the profiling run and, concurrently with it, the initial (all-software)
+// design — and returns
 // the partially-filled Evaluation (IR, Profile, Initial) together with
 // the partitioning Baseline derived from the measured design. EvaluateCtx
 // continues from here into the greedy Fig. 1 loop; internal/dse's Pareto
@@ -286,32 +258,40 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, rec *trace.Re
 	lib := cfg.Part.Lib
 	micro := &lib.Micro
 
-	// Profiling run (Fig. 5 "Trace Tool" / profiler).
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	profRes, err := interp.Run(ir, interp.Options{CollectProfile: true,
-		MaxSteps: cfg.MaxInstrs})
-	if err != nil {
-		return nil, nil, fmt.Errorf("system: profiling: %w", err)
+	// Profiling run (Fig. 5 "Trace Tool" / profiler), concurrent with the
+	// initial design's compile and ISS run: both only read the IR, and
+	// neither result feeds the other. The buffered channel lets the
+	// profiler finish even if nobody were to receive; every path below
+	// receives before returning, so the goroutine never outlives the call.
+	type profiled struct {
+		res *interp.Result
+		err error
 	}
-	ev := &Evaluation{App: ir.Name, IR: ir, Profile: profRes.Prof}
-
-	// Initial (all-software) design.
+	profOpts := interp.Options{CollectProfile: true, MaxSteps: cfg.MaxInstrs}
+	profc := make(chan profiled, 1)
+	go func() {
+		res, err := interp.Run(ir, profOpts)
+		profc <- profiled{res, err}
+	}()
+	initial, fullLay, initErr := measureInitialDesign(ir, &cfg, micro, rec)
+	prof := <-profc
+	// Report in stage order: a profiling failure first, then a
+	// cancellation that arrived while the stages ran, then the initial
+	// design's failure.
+	if prof.err != nil {
+		return nil, nil, fmt.Errorf("system: profiling: %w", prof.err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	full, fullLay, err := codegen.Compile(ir, codegen.Options{
-		MemWords: cfg.MemWords, StackWords: cfg.StackWords})
-	if err != nil {
-		return nil, nil, fmt.Errorf("system: compile: %w", err)
+	if initErr != nil {
+		return nil, nil, initErr
 	}
-	initial, _, _, err := runDesignRec("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, rec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("system: initial design: %w", err)
-	}
-	ev.Initial = initial
-	ev.initialLay = fullLay
+	ev := &Evaluation{App: ir.Name, IR: ir, Profile: prof.res.Prof,
+		Initial: initial, initialLay: fullLay}
 
 	base := &partition.Baseline{
 		TotalEnergy:        initial.Total(),
@@ -323,6 +303,22 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, rec *trace.Re
 		ICacheAccessEnergy: cfg.ICache.AccessEnergy(lib.Cache),
 	}
 	return ev, base, nil
+}
+
+// measureInitialDesign compiles the all-software design and runs it on
+// the ISS, teeing rec (when non-nil) into its memory system.
+func measureInitialDesign(ir *cdfg.Program, cfg *Config, micro *tech.MicroprocessorSpec,
+	rec *trace.Recorder) (*Design, *codegen.Layout, error) {
+	full, fullLay, err := codegen.Compile(ir, codegen.Options{
+		MemWords: cfg.MemWords, StackWords: cfg.StackWords})
+	if err != nil {
+		return nil, nil, fmt.Errorf("system: compile: %w", err)
+	}
+	initial, _, _, err := runDesignRec("initial", &isaProgram{prog: full, lay: fullLay}, cfg, nil, micro, rec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("system: initial design: %w", err)
+	}
+	return initial, fullLay, nil
 }
 
 // RecordTraceCtx compiles the program and replays it on the ISS with a
@@ -350,8 +346,9 @@ func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.T
 }
 
 // EvaluateIRCtx is EvaluateCtx starting from already-built IR. ctx is
-// checked at every stage boundary of the Fig. 5 flow (profile → initial
-// design → partitioning → partitioned design) and threaded into the
+// checked at every stage boundary of the Fig. 5 flow (profile and initial
+// design, which run concurrently → partitioning → partitioned design) and
+// threaded into the
 // partitioner's cluster × resource-set fan-out, so a cancelled
 // evaluation stops at the next boundary instead of running the flow to
 // completion.

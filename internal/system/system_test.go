@@ -2,8 +2,12 @@ package system
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +16,7 @@ import (
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
 	"lppart/internal/codegen"
+	"lppart/internal/interp"
 	"lppart/internal/iss"
 	"lppart/internal/partition"
 	"lppart/internal/tech"
@@ -430,5 +435,79 @@ func TestEvaluateAllCtxCancelled(t *testing.T) {
 	defer dcancel()
 	if _, err := EvaluateAllCtx(dctx, srcs, Config{}, 2); err != context.DeadlineExceeded {
 		t.Fatalf("EvaluateAllCtx past deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// cancelAfterEntry reports cancellation from its second Err call on: a
+// measurement passes its entry check, then finds the context cancelled
+// once the concurrent profiling and initial-design stages have run.
+type cancelAfterEntry struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelAfterEntry) Err() error {
+	if c.checks.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMeasureOverlapSemantics checks the measurement stage that runs the
+// profiler concurrently with the initial design: failures are reported
+// in stage order, cancellation surfaces as ctx.Err(), and the profiling
+// goroutine is joined on every path.
+func TestMeasureOverlapSemantics(t *testing.T) {
+	a, err := apps.ByName("digs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := a.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := interp.Run(ir, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One successful measurement first, so that any goroutine the
+	// runtime starts lazily is already counted in start.
+	_, _, err = MeasureInitialCtx(context.Background(), ir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+
+	// Both the interpreter and the ISS exceed a tiny budget; the
+	// profiling failure is the one reported.
+	_, _, err = MeasureInitialCtx(context.Background(), ir, Config{MaxInstrs: 1000})
+	var rerr *interp.RuntimeError
+	if err == nil || !strings.HasPrefix(err.Error(), "system: profiling:") || !errors.As(err, &rerr) {
+		t.Errorf("interpreter over budget: err = %v, want a system: profiling: RuntimeError", err)
+	}
+	// A budget the interpreter meets but the ISS, which executes more
+	// machine instructions than IR operations, exceeds.
+	_, _, err = MeasureInitialCtx(context.Background(), ir, Config{MaxInstrs: prof.Steps + 1})
+	if err == nil || !strings.HasPrefix(err.Error(), "system: initial design:") {
+		t.Errorf("ISS over budget: err = %v, want system: initial design:", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := MeasureInitialCtx(ctx, ir, Config{}); err != context.Canceled {
+		t.Errorf("cancelled before the stage: err = %v, want context.Canceled", err)
+	}
+	if _, _, _, err := MeasureAndRecordCtx(&cancelAfterEntry{Context: context.Background()}, ir, Config{}); err != context.Canceled {
+		t.Errorf("cancelled during the stage: err = %v, want context.Canceled", err)
+	}
+
+	// The profiling goroutine has sent its result before the stage
+	// returns; give it until the deadline to finish exiting.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Errorf("%d goroutines after the stage, %d before: the profiler leaked", n, start)
 	}
 }

@@ -129,7 +129,7 @@ func TestReplayMatchesLiveSimulation(t *testing.T) {
 	// Live simulation.
 	liveI, _ := cache.New("i", cache.DefaultICache(), lib.Cache, nil, nil)
 	liveD, _ := cache.New("d", cache.DefaultDCache(), lib.Cache, nil, nil)
-	rec := &Recorder{Inner: &liveMem{liveI, liveD}}
+	rec := &Recorder{Inner: &iss.Caches{I: liveI, D: liveD}}
 	if _, err := iss.Run(mp, iss.Options{Mem: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,6 @@ func TestReplayMatchesLiveSimulation(t *testing.T) {
 		t.Errorf("d-cache replay %+v != live %+v", rep.D, liveD.Stats)
 	}
 }
-
-type liveMem struct{ ic, dc *cache.Cache }
-
-func (m *liveMem) FetchInstr(a uint32) int { return m.ic.Access(int32(a/4), false) }
-func (m *liveMem) ReadData(a int32) int    { return m.dc.Access(a, false) }
-func (m *liveMem) WriteData(a int32) int   { return m.dc.Access(a, true) }
 
 func TestSweepMonotoneCapacity(t *testing.T) {
 	// Growing the data cache can only improve (or hold) its hit rate on

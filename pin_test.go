@@ -3,13 +3,21 @@ package lppart
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"hash"
+	"math"
+	"sort"
 	"testing"
 
 	"lppart/internal/apps"
+	"lppart/internal/cache"
 	"lppart/internal/dse"
 	"lppart/internal/milp"
+	"lppart/internal/report"
+	"lppart/internal/system"
+	"lppart/internal/units"
 )
 
 // TestSearchOutputsPinned pins the bytes of both search tiers for the
@@ -79,5 +87,96 @@ func TestSearchOutputsPinned(t *testing.T) {
 				t.Errorf("digests {frontier, exact} = %q, want %q", got, want[a.Name])
 			}
 		})
+	}
+}
+
+// TestTable1Pinned pins the six applications' greedy evaluations at the
+// bit level. perfbench's golden digest hashes the printed Table 1, whose
+// rounded cells let a low-bit float drift through; this digest covers the
+// exact bits of every per-core energy of both designs, the cycle, class
+// and activity counts of both ISS runs, every region stat, both caches'
+// counters, the ASIC cycles and GEQ, the final data memory, the decision
+// trail and the rendered Table 1 row. Any kernel edit that reorders a
+// float sum or changes an access sequence fails here.
+func TestTable1Pinned(t *testing.T) {
+	want := map[string]string{
+		"3d":     "5194b5a8e2ef642fefe116c260aa557e434e9ef301c75d8deb3363fa31b29603",
+		"MPG":    "aca8af5fdd09bb3ad4b15f3c7f4b1ffe97887297cdc20fa47f6a4e4e2771236d",
+		"ckey":   "0db0e9d6ceba8c49f2c403421aaf903dbe65d5f46ebd334ecb431da34750bd72",
+		"digs":   "ac1f49569719519f8350f83b25972d6ded4cbd2970bb96fdaf2f5b6c6335c8f7",
+		"engine": "038a6962318b006e45ce9b125064351081bac28491043430db70e348329ac41a",
+		"trick":  "0197b83addffb3189186d26af91ad40fd7f4ee2007e7ed5ba2dcae6072711c38",
+	}
+	for _, a := range apps.All() {
+		t.Run(a.Name, func(t *testing.T) {
+			t.Parallel()
+			src, err := a.Parse()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := system.EvaluateCtx(context.Background(), src, system.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := evaluationDigest(ev); got != want[a.Name] {
+				t.Errorf("digest = %q, want %q", got, want[a.Name])
+			}
+		})
+	}
+}
+
+// evaluationDigest hashes everything TestTable1Pinned pins.
+func evaluationDigest(ev *system.Evaluation) string {
+	h := sha256.New()
+	for _, d := range []*system.Design{ev.Initial, ev.Partitioned} {
+		if d == nil {
+			h.Write([]byte("no partition"))
+			continue
+		}
+		writeDesign(h, d)
+	}
+	h.Write([]byte(ev.Decision.Trail()))
+	h.Write([]byte(report.Table1([]*system.Evaluation{ev})))
+	sum := h.Sum(nil)
+	return hex.EncodeToString(sum)
+}
+
+func writeDesign(h hash.Hash, d *system.Design) {
+	w := func(vs ...int64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+	}
+	e := func(es ...units.Energy) {
+		for _, x := range es {
+			w(int64(math.Float64bits(float64(x))))
+		}
+	}
+	st := func(s cache.Stats) { w(s.Accesses, s.Hits, s.Misses, s.WriteBacks) }
+	h.Write([]byte(d.Name))
+	e(d.EICache, d.EDCache, d.EMem, d.EBus, d.EMuP, d.EASIC)
+	w(d.MuPCycles, d.ASICCycles, int64(d.GEQ))
+	st(d.IStats)
+	st(d.DStats)
+	r := d.ISS
+	w(int64(r.RV), r.Instrs, r.Cycles, r.ASICCycles)
+	e(r.Energy)
+	w(r.PerClass[:]...)
+	w(r.Active[:]...)
+	ids := make([]int, 0, len(r.Regions))
+	for id := range r.Regions {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		rs := r.Regions[id]
+		w(int64(id), rs.Instrs, rs.Cycles)
+		e(rs.Energy)
+		w(rs.Active[:]...)
+	}
+	for _, v := range r.Mem {
+		w(int64(v))
 	}
 }
